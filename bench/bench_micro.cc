@@ -4,7 +4,7 @@
  * interpretation throughput, verification speed, class-file
  * serialization round trips, the shared-bandwidth transfer engine,
  * and static first-use estimation. These guard the simulator's own
- * performance (the experiment binaries run thousands of co-simulated
+ * performance (the experiments run thousands of co-simulated
  * executions).
  */
 

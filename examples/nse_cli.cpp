@@ -32,7 +32,7 @@
 #include "program/archive.h"
 #include "report/table.h"
 #include "restructure/split.h"
-#include "sim/simulator.h"
+#include "sim/replay.h"
 #include "workloads/workload.h"
 
 using namespace nse;
@@ -90,8 +90,8 @@ cmdStats(Workload &w)
 int
 cmdOrder(Workload &w, const std::string &src)
 {
-    Simulator sim(w.program, w.natives, w.trainInput, w.testInput);
-    const FirstUseOrder &order = sim.ordering(parseOrder(src));
+    SimContext ctx(w.program, w.natives, w.trainInput, w.testInput);
+    const FirstUseOrder &order = ctx.ordering(parseOrder(src));
     for (size_t i = 0; i < order.order.size(); ++i) {
         std::cout << (i < order.usedCount ? "  " : "~ ")
                   << w.program.methodLabel(order.order[i]) << "\n";
@@ -138,12 +138,12 @@ cmdSimulate(Workload &w, int argc, char **argv, int first)
         }
     }
 
-    Simulator sim(w.program, w.natives, w.trainInput, w.testInput);
+    SimContext ctx(w.program, w.natives, w.trainInput, w.testInput);
     SimConfig strict;
     strict.mode = SimConfig::Mode::Strict;
     strict.link = cfg.link;
-    SimResult base = sim.run(strict);
-    SimResult r = sim.run(cfg);
+    SimResult base = runReplay(ctx, strict);
+    SimResult r = runReplay(ctx, cfg);
 
     Table t({"metric", "value"});
     t.addRow({"invocation latency Mcycles",
@@ -161,14 +161,14 @@ cmdSimulate(Workload &w, int argc, char **argv, int first)
 int
 cmdSplit(Workload &w, size_t max_bytes)
 {
-    Simulator before(w.program, w.natives, w.trainInput, w.testInput);
+    SimContext before(w.program, w.natives, w.trainInput, w.testInput);
     uint64_t lat_before =
-        before.nonStrictInvocationLatency(kModemLink, false);
+        nonStrictInvocationLatency(before, kModemLink, false);
 
     SplitStats stats = splitLargeMethods(w.program, max_bytes);
-    Simulator after(w.program, w.natives, w.trainInput, w.testInput);
+    SimContext after(w.program, w.natives, w.trainInput, w.testInput);
     uint64_t lat_after =
-        after.nonStrictInvocationLatency(kModemLink, false);
+        nonStrictInvocationLatency(after, kModemLink, false);
 
     std::cout << "split " << stats.methodsSplit << " methods into "
               << stats.tailsCreated << " tails (threshold " << max_bytes

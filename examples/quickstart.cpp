@@ -16,7 +16,7 @@
 #include "analysis/first_use.h"
 #include "program/builder.h"
 #include "restructure/reorder.h"
-#include "sim/simulator.h"
+#include "sim/replay.h"
 #include "vm/interpreter.h"
 #include "vm/natives.h"
 
@@ -120,18 +120,18 @@ main()
     std::cout << "\n\n";
 
     // --- 5. Strict vs non-strict over a modem -----------------------
-    Simulator sim(prog, natives, {}, {});
+    SimContext ctx(prog, natives, {}, {});
     SimConfig strict;
     strict.mode = SimConfig::Mode::Strict;
     strict.link = kModemLink;
-    SimResult s = sim.run(strict);
+    SimResult s = runReplay(ctx, strict);
 
     SimConfig ns;
     ns.mode = SimConfig::Mode::Parallel;
     ns.ordering = OrderingSource::Static;
     ns.link = kModemLink;
     ns.parallelLimit = 4;
-    SimResult n = sim.run(ns);
+    SimResult n = runReplay(ctx, ns);
 
     std::cout << "strict:     invocation " << s.invocationLatency
               << " cycles, total " << s.totalCycles << " cycles\n"

@@ -15,7 +15,7 @@
 #include <string>
 
 #include "restructure/layout.h"
-#include "sim/simulator.h"
+#include "sim/replay.h"
 #include "transfer/engine.h"
 #include "transfer/schedule.h"
 #include "workloads/workload.h"
@@ -29,14 +29,14 @@ main(int argc, char **argv)
     int limit = argc > 2 ? std::stoi(argv[2]) : 4;
 
     Workload w = makeWorkload(name);
-    Simulator sim(w.program, w.natives, w.trainInput, w.testInput);
-    const FirstUseOrder &order = sim.ordering(OrderingSource::Test);
+    SimContext ctx(w.program, w.natives, w.trainInput, w.testInput);
+    const FirstUseOrder &order = ctx.ordering(OrderingSource::Test);
     TransferLayout layout =
         makeParallelLayout(w.program, order, nullptr);
 
     std::vector<uint64_t> cycles;
     for (const MethodId &id : order.order)
-        cycles.push_back(sim.testProfile().of(id).firstUseClock);
+        cycles.push_back(ctx.testProfile().of(id).firstUseClock);
     StreamDemand demand =
         deriveStreamDemand(w.program, order, layout, cycles);
     TransferSchedule sched =

@@ -16,7 +16,7 @@
 #include <iostream>
 
 #include "restructure/layout.h"
-#include "sim/simulator.h"
+#include "sim/replay.h"
 #include "transfer/engine.h"
 #include "vm/interpreter.h"
 #include "workloads/workload.h"
@@ -40,17 +40,17 @@ int
 main()
 {
     Workload applet = makeHanoi();
-    Simulator sim(applet.program, applet.natives, applet.trainInput,
-                  applet.testInput);
+    SimContext ctx(applet.program, applet.natives, applet.trainInput,
+                   applet.testInput);
 
     std::cout << std::fixed << std::setprecision(2);
     std::cout << "Applet: " << applet.name << " — "
               << applet.description << "\n"
               << "Link: 28.8K modem (134,698 cycles/byte at 500 MHz)\n\n";
 
-    uint64_t strict = sim.strictInvocationLatency(kModemLink);
-    uint64_t ns = sim.nonStrictInvocationLatency(kModemLink, false);
-    uint64_t dp = sim.nonStrictInvocationLatency(kModemLink, true);
+    uint64_t strict = strictInvocationLatency(ctx, kModemLink);
+    uint64_t ns = nonStrictInvocationLatency(ctx, kModemLink, false);
+    uint64_t dp = nonStrictInvocationLatency(ctx, kModemLink, true);
     std::cout << "time until the applet starts drawing:\n"
               << "  strict (whole first class file): "
               << seconds(strict) << " s\n"
@@ -61,7 +61,7 @@ main()
 
     // Trace the non-strict interleaved run: where does execution
     // actually wait on the network?
-    const FirstUseOrder &order = sim.ordering(OrderingSource::Train);
+    const FirstUseOrder &order = ctx.ordering(OrderingSource::Train);
     TransferLayout layout =
         makeInterleavedLayout(applet.program, order, nullptr);
     TransferEngine engine(kModemLink.cyclesPerByte, 1);
@@ -89,7 +89,7 @@ main()
     SimConfig strict_cfg;
     strict_cfg.mode = SimConfig::Mode::Strict;
     strict_cfg.link = kModemLink;
-    SimResult strict_total = sim.run(strict_cfg);
+    SimResult strict_total = runReplay(ctx, strict_cfg);
     std::cout << "\ntotal time to finish the applet:\n"
               << "  strict:     " << seconds(strict_total.totalCycles)
               << " s\n"

@@ -4,29 +4,10 @@
 #include <cstring>
 
 #include "support/error.h"
+#include "support/fnv1a.h"
 
 namespace nse
 {
-
-namespace
-{
-
-/** FNV-1a over the key fields (the obs-event `b` payload). */
-struct Fnv1a
-{
-    uint64_t h = 1469598103934665603ull;
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    }
-};
-
-} // namespace
 
 uint64_t
 EdgeKey::hash() const

@@ -1,9 +1,13 @@
 #include "report/json.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "support/error.h"
 
 namespace nse
 {
@@ -68,6 +72,88 @@ BenchJson::setMetric(const std::string &key, double value)
     setMetricRaw(key, buf);
 }
 
+double
+BenchJson::metric(const std::string &key) const
+{
+    for (const auto &[k, v] : metrics_)
+        if (k == key)
+            return std::strtod(v.c_str(), nullptr);
+    fatal("bench ", name_, " has no metric \"", key, "\"");
+}
+
+namespace
+{
+
+const char *
+opName(CheckOp op)
+{
+    switch (op) {
+      case CheckOp::Eq: return "==";
+      case CheckOp::Lt: return "<";
+      case CheckOp::Le: return "<=";
+      case CheckOp::Gt: return ">";
+      case CheckOp::Ge: return ">=";
+    }
+    return "?";
+}
+
+/** Shortest round-trip rendering of a double. */
+std::string
+fmtExact(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof buf, v);
+    return std::string(buf, res.ptr);
+}
+
+} // namespace
+
+bool
+BenchJson::addCheck(std::string name, double value, CheckOp op,
+                    double threshold)
+{
+    bool pass = false;
+    switch (op) {
+      case CheckOp::Eq: pass = value == threshold; break;
+      case CheckOp::Lt: pass = value < threshold; break;
+      case CheckOp::Le: pass = value <= threshold; break;
+      case CheckOp::Gt: pass = value > threshold; break;
+      case CheckOp::Ge: pass = value >= threshold; break;
+    }
+    checks_.push_back({std::move(name), value, op, threshold, pass});
+    return pass;
+}
+
+bool
+BenchJson::check(const std::string &metric_key, CheckOp op,
+                 double threshold)
+{
+    return addCheck(metric_key, metric(metric_key), op, threshold);
+}
+
+bool
+BenchJson::checkTable(const std::string &label)
+{
+    bool found = false;
+    for (const Entry &e : tables_)
+        found = found || e.label == label;
+    return addCheck("table:" + label, found ? 1.0 : 0.0, CheckOp::Eq, 1.0);
+}
+
+std::vector<std::string>
+BenchJson::failedChecks() const
+{
+    std::vector<std::string> out;
+    for (const Check &c : checks_)
+        if (!c.pass)
+            out.push_back(cat(name_, ": ", c.name, " ", opName(c.op), " ",
+                              fmtExact(c.threshold), " (value ",
+                              fmtExact(c.value), ")"));
+    return out;
+}
+
 std::string
 BenchJson::str() const
 {
@@ -98,7 +184,16 @@ BenchJson::str() const
         }
         os << (e.rows.empty() ? "]}" : "\n    ]}");
     }
-    os << (tables_.empty() ? "]\n}\n" : "\n  ]\n}\n");
+    os << (tables_.empty() ? "]" : "\n  ]") << ",\n  \"checks\": [";
+    for (size_t c = 0; c < checks_.size(); ++c) {
+        const Check &k = checks_[c];
+        os << (c ? ",\n    {" : "\n    {") << "\"name\": "
+           << jsonQuote(k.name) << ", \"value\": " << fmtExact(k.value)
+           << ", \"op\": " << jsonQuote(opName(k.op))
+           << ", \"threshold\": " << fmtExact(k.threshold)
+           << ", \"pass\": " << (k.pass ? "true" : "false") << "}";
+    }
+    os << (checks_.empty() ? "]\n}\n" : "\n  ]\n}\n");
     return os.str();
 }
 

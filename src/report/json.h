@@ -1,6 +1,6 @@
 /**
  * @file
- * Machine-readable experiment output: every bench binary emits a
+ * Machine-readable experiment output: every experiment emits a
  * BENCH_<name>.json next to (i.e. in addition to) its text tables, so
  * regression tooling and plotting scripts consume structure instead
  * of scraping aligned columns.
@@ -13,13 +13,20 @@
  *     "tables": [
  *       {"label": "...", "headers": [...], "rows": [[...], ...]},
  *       ...
+ *     ],
+ *     "checks": [
+ *       {"name": "replay_mismatches", "value": 0, "op": "==",
+ *        "threshold": 0, "pass": true},
+ *       ...
  *     ]
  *   }
  *
  * "metrics" carries the run counters of the observability layer
  * (obs/metrics.h): stall totals, retry counts, degraded cycles, event
- * counts. It is always present (empty when a bench sets none) so
- * consumers can rely on the shape.
+ * counts. "checks" lists the pass/fail assertions the bench declares
+ * over its own metrics and tables; the bench driver fails when any
+ * does not pass. Both are always present (empty when a bench sets
+ * none) so consumers can rely on the shape.
  */
 
 #ifndef NSE_REPORT_JSON_H
@@ -38,7 +45,17 @@ namespace nse
 /** JSON string literal with standard escapes. */
 std::string jsonQuote(const std::string &s);
 
-/** Collects a bench binary's tables and serializes/writes them. */
+/** Comparison operator of a declared check. */
+enum class CheckOp : uint8_t
+{
+    Eq,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+};
+
+/** Collects a bench's tables, metrics and checks and writes them. */
 class BenchJson
 {
   public:
@@ -51,6 +68,21 @@ class BenchJson
      *  preserved in the document). */
     void setMetric(const std::string &key, uint64_t value);
     void setMetric(const std::string &key, double value);
+
+    /** The value of a metric set earlier (FatalError when unset). */
+    double metric(const std::string &key) const;
+
+    /** Declare the check `metric op threshold` on a metric set
+     *  earlier; returns whether it passes. */
+    bool check(const std::string &metric, CheckOp op, double threshold);
+
+    /** Declare the check that a table labelled `label` was added. */
+    bool checkTable(const std::string &label);
+
+    /** One line per declared check that failed. */
+    std::vector<std::string> failedChecks() const;
+
+    const std::string &name() const { return name_; }
 
     /** Serialize to the canonical JSON document. */
     std::string str() const;
@@ -74,12 +106,24 @@ class BenchJson
         std::vector<std::vector<std::string>> rows;
     };
 
+    struct Check
+    {
+        std::string name;
+        double value;
+        CheckOp op;
+        double threshold;
+        bool pass;
+    };
+
     void setMetricRaw(const std::string &key, std::string rendered);
+    bool addCheck(std::string name, double value, CheckOp op,
+                  double threshold);
 
     std::string name_;
     std::vector<Entry> tables_;
     /** (key, rendered JSON value), in insertion order. */
     std::vector<std::pair<std::string, std::string>> metrics_;
+    std::vector<Check> checks_;
 };
 
 } // namespace nse

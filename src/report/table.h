@@ -1,6 +1,6 @@
 /**
  * @file
- * Fixed-width table rendering shared by the benchmark binaries, so
+ * Fixed-width table rendering shared by the bench experiments, so
  * every reproduced table prints in the same aligned, diffable format.
  */
 
@@ -44,7 +44,7 @@ class Table
     std::vector<std::vector<std::string>> rows_;
 };
 
-/** Format helpers used by the bench binaries. */
+/** Format helpers used by the bench experiments. */
 std::string fmtF(double v, int decimals = 1);
 std::string fmtMillions(uint64_t cycles, int decimals = 0);
 std::string fmtPct(double v, int decimals = 0);

@@ -158,6 +158,19 @@ TEST(EdgeKeyTest, EvaluationKnobsShareRestructuringKnobsSplit)
     EXPECT_EQ(artifactBytes(ctx, strict), ctx.totalBytes());
 }
 
+TEST(EdgeKeyTest, KeysArePinned)
+{
+    // Both keys fold through the shared FNV-1a (support/fnv1a.h); a
+    // drift here silently re-keys every edge cache, so the values of
+    // two workloads are pinned exactly.
+    SimConfig cfg = baseConfig(SimConfig::Mode::Parallel, kT1Link);
+    cfg.parallelLimit = 4;
+    EXPECT_EQ(zipperCtx().contentKey(), 0x8ccf652bb9161390ull);
+    EXPECT_EQ(edgeKeyOf(zipperCtx(), cfg).hash(), 0x964b8a438493303dull);
+    EXPECT_EQ(hanoiCtx().contentKey(), 0xcf5fb6a49598365dull);
+    EXPECT_EQ(edgeKeyOf(hanoiCtx(), cfg).hash(), 0x266959f981b8090aull);
+}
+
 TEST(EdgeCacheTest, MissFetchHitAndJoinAccounting)
 {
     const SimContext &ctx = zipperCtx();

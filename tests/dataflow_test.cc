@@ -181,7 +181,7 @@ TEST_P(SyntheticSweep, MustWithinMayWithinRtaOnRandomPrograms)
         for (int64_t &v : input)
             v = static_cast<int64_t>(rng.below(2001)) - 1000;
         ExecTrace trace =
-            recordTrace(prog, natives, input, {}, "", &dc);
+            recordTrace(prog, natives, input, {}, &dc);
         checkAnalysisAgainstTrace(prog, cg, ua, trace);
     }
 }

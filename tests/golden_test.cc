@@ -1,11 +1,15 @@
 /**
  * @file
- * Golden-output regression test: the Table 5 report (parallel file
- * transfer on the T1 link, the paper's headline table) must stay
- * byte-identical to the committed fixture. Any change to the VM's
+ * Golden-output regression tests. Every experiment of the bench
+ * registry whose report is deterministic (all but the wall-clock
+ * ext_server and ext_vm) must print byte-identical text to its
+ * committed fixture tests/golden/<name>.txt, run in-process with the
+ * fleet experiments capped at 64 clients. Any change to the VM's
  * cycle accounting, the restructurer, the transfer engine, the greedy
- * scheduler, the replay executor, or the table renderer shows up here
- * as a diff — deliberate changes regenerate the fixture.
+ * scheduler, the replay executor, the server loop, the edge cache, or
+ * the table renderer shows up here as a diff — deliberate changes
+ * regenerate the fixtures (NSE_REGEN_GOLDEN=1, see below). The
+ * nse-audit-v1 JSON document is pinned the same way.
  */
 
 #include <algorithm>
@@ -17,8 +21,7 @@
 #include "analysis/audit.h"
 #include "analysis/callgraph.h"
 #include "analysis/first_use.h"
-#include "bench/interleaved_table.h"
-#include "bench/parallel_table.h"
+#include "bench/bench_env.h"
 #include "program/builder.h"
 #include "restructure/data_partition.h"
 #include "restructure/layout.h"
@@ -38,18 +41,66 @@ readFile(const std::string &path)
     return os.str();
 }
 
-TEST(Golden, Table5ReportIsByteIdentical)
+/** Compare `actual` with the fixture at tests/golden/<file>, or with
+ *  NSE_REGEN_GOLDEN set, rewrite the fixture instead. */
+void
+expectGolden(const std::string &file, const std::string &actual)
 {
-    std::string expected =
-        readFile(std::string(NSE_SOURCE_DIR) +
-                 "/tests/golden/table5_t1.txt");
-    std::string actual = parallelTableReport(kT1Link, benchWorkloads());
-    EXPECT_EQ(expected, actual)
-        << "Table 5 drifted from tests/golden/table5_t1.txt. If the "
-           "change is intentional, regenerate the fixture with:\n"
-           "  build/bench/bench_table5_parallel_t1 > "
-           "tests/golden/table5_t1.txt";
+    std::string path = std::string(NSE_SOURCE_DIR) + "/tests/golden/" + file;
+    const char *regen = std::getenv("NSE_REGEN_GOLDEN");
+    if (regen && *regen) {
+        std::ofstream os(path, std::ios::binary);
+        os << actual;
+        GTEST_SKIP() << "regenerated " << path;
+    }
+    EXPECT_EQ(readFile(path), actual)
+        << "output drifted from tests/golden/" << file
+        << ". If the change is intentional, regenerate with:\n"
+           "  NSE_REGEN_GOLDEN=1 build/tests/golden_test";
 }
+
+/** The experiments with a deterministic report. */
+std::vector<std::string>
+deterministicExperiments()
+{
+    std::vector<std::string> names;
+    for (const Experiment &e : experiments())
+        if (!e.wallClock)
+            names.push_back(e.name);
+    return names;
+}
+
+class GoldenBench : public ::testing::TestWithParam<std::string>
+{
+  protected:
+    /** One environment for the whole suite, as nse_bench shares one. */
+    static BenchEnv &
+    env()
+    {
+        static BenchEnv shared(/*threads=*/0, /*max_fleet=*/64);
+        return shared;
+    }
+};
+
+TEST_P(GoldenBench, ReportIsByteIdentical)
+{
+    auto it = std::find_if(
+        experiments().begin(), experiments().end(),
+        [&](const Experiment &e) { return GetParam() == e.name; });
+    ASSERT_NE(it, experiments().end());
+    std::ostringstream os;
+    BenchJson json = it->run(env(), os);
+    EXPECT_EQ(json.name(), GetParam());
+    EXPECT_TRUE(json.failedChecks().empty());
+    expectGolden(GetParam() + ".txt", os.str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, GoldenBench,
+    ::testing::ValuesIn(deterministicExperiments()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(Golden, AuditJsonIsByteIdentical)
 {
@@ -90,34 +141,7 @@ TEST(Golden, AuditJsonIsByteIdentical)
     TransferLayout layout = makeParallelLayout(p, o2, &part);
     AuditReport report = auditNonStrictSafety(p, cg, o2, layout, &part);
     ASSERT_FALSE(report.ok());
-    std::string actual = report.toJson();
-
-    std::string path =
-        std::string(NSE_SOURCE_DIR) + "/tests/golden/audit_mismatch.json";
-    const char *regen = std::getenv("NSE_REGEN_GOLDEN");
-    if (regen && *regen) {
-        std::ofstream os(path, std::ios::binary);
-        os << actual;
-        GTEST_SKIP() << "regenerated " << path;
-    }
-    EXPECT_EQ(readFile(path), actual)
-        << "nse-audit-v1 JSON drifted from tests/golden/"
-           "audit_mismatch.json. If the schema change is intentional, "
-           "regenerate with:\n"
-           "  NSE_REGEN_GOLDEN=1 build/tests/golden_test "
-           "--gtest_filter=Golden.AuditJsonIsByteIdentical";
-}
-
-TEST(Golden, Table7ReportIsByteIdentical)
-{
-    std::string expected = readFile(std::string(NSE_SOURCE_DIR) +
-                                    "/tests/golden/table7.txt");
-    std::string actual = interleavedTableReport(benchWorkloads());
-    EXPECT_EQ(expected, actual)
-        << "Table 7 drifted from tests/golden/table7.txt. If the "
-           "change is intentional, regenerate the fixture with:\n"
-           "  build/bench/bench_table7_interleaved > "
-           "tests/golden/table7.txt";
+    expectGolden("audit_mismatch.json", report.toJson());
 }
 
 } // namespace

@@ -16,7 +16,7 @@
 #include "restructure/data_partition.h"
 #include "restructure/layout.h"
 #include "restructure/reorder.h"
-#include "sim/simulator.h"
+#include "sim/replay.h"
 #include "support/rng.h"
 #include "transfer/engine.h"
 #include "vm/interpreter.h"
@@ -117,11 +117,11 @@ TEST_P(SyntheticSweep, LayoutsConserveBytes)
 
 TEST_P(SyntheticSweep, NonStrictNeverSlowerThanStrict)
 {
-    Simulator sim(prog_, natives_, {1}, {1, 5, 3});
+    SimContext ctx(prog_, natives_, {1}, {1, 5, 3});
     SimConfig strict;
     strict.mode = SimConfig::Mode::Strict;
     strict.link = kModemLink;
-    SimResult s = sim.run(strict);
+    SimResult s = runReplay(ctx, strict);
     for (SimConfig::Mode mode : {SimConfig::Mode::Parallel,
                                  SimConfig::Mode::Interleaved}) {
         for (bool part : {false, true}) {
@@ -131,7 +131,7 @@ TEST_P(SyntheticSweep, NonStrictNeverSlowerThanStrict)
             cfg.link = kModemLink;
             cfg.parallelLimit = 4;
             cfg.dataPartition = part;
-            SimResult r = sim.run(cfg);
+            SimResult r = runReplay(ctx, cfg);
             EXPECT_LE(r.totalCycles, s.totalCycles);
             EXPECT_LE(r.invocationLatency, s.invocationLatency);
         }
@@ -140,15 +140,15 @@ TEST_P(SyntheticSweep, NonStrictNeverSlowerThanStrict)
 
 TEST_P(SyntheticSweep, WiderLimitNeverHurtsPerfectOrdering)
 {
-    Simulator sim(prog_, natives_, {1}, {1, 5, 3});
+    SimContext ctx(prog_, natives_, {1}, {1, 5, 3});
     SimConfig cfg;
     cfg.mode = SimConfig::Mode::Parallel;
     cfg.ordering = OrderingSource::Test;
     cfg.link = kModemLink;
     cfg.parallelLimit = 1;
-    uint64_t narrow = sim.run(cfg).totalCycles;
+    uint64_t narrow = runReplay(ctx, cfg).totalCycles;
     cfg.parallelLimit = -1;
-    uint64_t wide = sim.run(cfg).totalCycles;
+    uint64_t wide = runReplay(ctx, cfg).totalCycles;
     // Allow a whisker of slack for event rounding.
     EXPECT_LE(wide, narrow + narrow / 50);
 }

@@ -14,7 +14,6 @@
 
 #include "obs/event.h"
 #include "sim/replay.h"
-#include "sim/simulator.h"
 #include "workloads/synthetic.h"
 #include "workloads/workload.h"
 
@@ -146,20 +145,6 @@ TEST(Replay, MatchesLiveCoSimulationOnSyntheticProgram)
     NativeRegistry natives = standardNatives();
     SimContext ctx(prog, natives, {2, 4}, {6, 1, 8, 3});
     checkAllConfigs(ctx);
-}
-
-TEST(Replay, FacadeRunIsReplay)
-{
-    // The Simulator façade must route through the replay executor.
-    Workload wl = makeZipper();
-    Simulator sim(wl.program, wl.natives, wl.trainInput, wl.testInput);
-    SimConfig cfg;
-    cfg.mode = SimConfig::Mode::Parallel;
-    cfg.ordering = OrderingSource::Train;
-    cfg.link = kModemLink;
-    cfg.parallelLimit = 2;
-    expectIdentical(sim.run(cfg), runReplay(sim.context(), cfg),
-                    "facade");
 }
 
 TEST(Replay, BatchedIntegratorMatchesForcedPerEventPath)

@@ -98,6 +98,46 @@ TEST(Json, MetricsObjectAlwaysPresentAndOrdered)
               std::string::npos);
 }
 
+TEST(Json, ChecksEvaluateMetricsAndTables)
+{
+    BenchJson json("unit");
+    EXPECT_NE(json.str().find("\"checks\": []"), std::string::npos);
+
+    json.setMetric("mismatches", uint64_t{0});
+    json.setMetric("speedup", 4.5);
+    Table t({"Program"});
+    json.addTable("present", t);
+    EXPECT_TRUE(json.check("mismatches", CheckOp::Eq, 0));
+    EXPECT_FALSE(json.check("speedup", CheckOp::Ge, 5.0));
+    EXPECT_TRUE(json.check("speedup", CheckOp::Lt, 5.0));
+    EXPECT_TRUE(json.checkTable("present"));
+    EXPECT_FALSE(json.checkTable("absent"));
+    EXPECT_THROW(json.check("unset", CheckOp::Gt, 0), FatalError);
+
+    // Every operator at its boundary.
+    BenchJson ops("ops");
+    ops.setMetric("x", uint64_t{3});
+    EXPECT_TRUE(ops.check("x", CheckOp::Eq, 3));
+    EXPECT_FALSE(ops.check("x", CheckOp::Lt, 3));
+    EXPECT_TRUE(ops.check("x", CheckOp::Le, 3));
+    EXPECT_FALSE(ops.check("x", CheckOp::Gt, 3));
+    EXPECT_TRUE(ops.check("x", CheckOp::Ge, 3));
+
+    EXPECT_EQ(json.failedChecks(),
+              (std::vector<std::string>{
+                  "unit: speedup >= 5 (value 4.5)",
+                  "unit: table:absent == 1 (value 0)"}));
+    std::string doc = json.str();
+    EXPECT_NE(doc.find("{\"name\": \"speedup\", \"value\": 4.5, "
+                       "\"op\": \">=\", \"threshold\": 5, "
+                       "\"pass\": false}"),
+              std::string::npos);
+    EXPECT_NE(doc.find("{\"name\": \"mismatches\", \"value\": 0, "
+                       "\"op\": \"==\", \"threshold\": 0, "
+                       "\"pass\": true}"),
+              std::string::npos);
+}
+
 TEST(Json, WriteFailurePrintsWarningAndReturnsEmpty)
 {
     BenchJson json("unwritable");

@@ -247,7 +247,7 @@ TEST(Runahead, ReducesMispredictionStallOnCrossInputWorkload)
     // remaining schedule at each misprediction recovers stall cycles
     // versus the static plan — under nominal bandwidth and under a
     // fault plan. The margins here are large (12-19% of total stall);
-    // the exact values are pinned by bench_ext_runahead.
+    // the exact values are pinned by the ext_runahead experiment.
     const SimContext &ctx = jessCtx();
     for (bool faults : {false, true}) {
         SimConfig cfg = parallelConfig(OrderingSource::Train);

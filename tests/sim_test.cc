@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulator tests: baseline formulas, invocation-latency relations,
+ * Simulation tests: baseline formulas, invocation-latency relations,
  * ordering quality relations, data-partitioning gains, and the
  * normalized-time metric — the invariants behind every paper table.
  */
@@ -11,7 +11,7 @@
 #include "support/error.h"
 
 #include "classfile/writer.h"
-#include "sim/simulator.h"
+#include "sim/replay.h"
 #include "workloads/synthetic.h"
 #include "workloads/workload.h"
 
@@ -26,7 +26,7 @@ class SimFixture : public ::testing::Test
   protected:
     SimFixture()
         : wl_(makeZipper()),
-          sim_(wl_.program, wl_.natives, wl_.trainInput, wl_.testInput)
+          ctx_(wl_.program, wl_.natives, wl_.trainInput, wl_.testInput)
     {}
 
     SimResult
@@ -39,11 +39,11 @@ class SimFixture : public ::testing::Test
         cfg.link = link;
         cfg.parallelLimit = limit;
         cfg.dataPartition = part;
-        return sim_.run(cfg);
+        return runReplay(ctx_, cfg);
     }
 
     Workload wl_;
-    Simulator sim_;
+    SimContext ctx_;
 };
 
 TEST_F(SimFixture, StrictTotalsAreTransferPlusExec)
@@ -62,7 +62,7 @@ TEST_F(SimFixture, StrictTotalsAreTransferPlusExec)
 
 TEST_F(SimFixture, StrictInvocationIsEntryClassTransfer)
 {
-    uint64_t lat = sim_.strictInvocationLatency(kT1Link);
+    uint64_t lat = strictInvocationLatency(ctx_, kT1Link);
     uint64_t bytes = layoutOf(
         wl_.program.classByName(wl_.program.entryClass())).totalSize;
     EXPECT_EQ(lat, static_cast<uint64_t>(std::ceil(
@@ -73,9 +73,9 @@ TEST_F(SimFixture, StrictInvocationIsEntryClassTransfer)
 TEST_F(SimFixture, InvocationLatencyOrdering)
 {
     for (const LinkModel &link : {kT1Link, kModemLink}) {
-        uint64_t strict = sim_.strictInvocationLatency(link);
-        uint64_t ns = sim_.nonStrictInvocationLatency(link, false);
-        uint64_t dp = sim_.nonStrictInvocationLatency(link, true);
+        uint64_t strict = strictInvocationLatency(ctx_, link);
+        uint64_t ns = nonStrictInvocationLatency(ctx_, link, false);
+        uint64_t dp = nonStrictInvocationLatency(ctx_, link, true);
         EXPECT_LE(dp, ns);
         EXPECT_LE(ns, strict);
         EXPECT_LT(dp, strict); // partitioning must actually help here
@@ -131,9 +131,9 @@ TEST_F(SimFixture, ClassStrictSitsBetweenStrictAndNonStrict)
     cfg.link = kModemLink;
     cfg.parallelLimit = 4;
     cfg.classStrict = true;
-    SimResult cs = sim_.run(cfg);
+    SimResult cs = runReplay(ctx_, cfg);
     cfg.classStrict = false;
-    SimResult ns = sim_.run(cfg);
+    SimResult ns = runReplay(ctx_, cfg);
     EXPECT_LE(cs.totalCycles, strict.totalCycles);
     EXPECT_LE(ns.totalCycles, cs.totalCycles + cs.totalCycles / 50);
 }
@@ -184,11 +184,11 @@ TEST_F(SimFixture, NormalizedPctBasics)
 
 TEST_F(SimFixture, OrderingsAreCachedAndComplete)
 {
-    const FirstUseOrder &a = sim_.ordering(OrderingSource::Train);
-    const FirstUseOrder &b = sim_.ordering(OrderingSource::Train);
+    const FirstUseOrder &a = ctx_.ordering(OrderingSource::Train);
+    const FirstUseOrder &b = ctx_.ordering(OrderingSource::Train);
     EXPECT_EQ(&a, &b); // cached
     EXPECT_EQ(a.order.size(), wl_.program.methodCount());
-    const FirstUseOrder &test = sim_.ordering(OrderingSource::Test);
+    const FirstUseOrder &test = ctx_.ordering(OrderingSource::Test);
     EXPECT_GT(test.usedCount, 0u);
     EXPECT_GE(test.usedCount, a.usedCount);
 }
@@ -210,9 +210,9 @@ TEST_F(SimFixture, UnityFaultPlanIsByteIdenticalToConstantRate)
             cfg.ordering = OrderingSource::Train;
             cfg.link = link;
             cfg.parallelLimit = 4;
-            SimResult nominal = sim_.run(cfg);
+            SimResult nominal = runReplay(ctx_, cfg);
             cfg.faults.trace = unity.trace;
-            SimResult faulted = sim_.run(cfg);
+            SimResult faulted = runReplay(ctx_, cfg);
             EXPECT_EQ(nominal.totalCycles, faulted.totalCycles);
             EXPECT_EQ(nominal.transferCycles, faulted.transferCycles);
             EXPECT_EQ(nominal.invocationLatency,
@@ -238,8 +238,8 @@ TEST_F(SimFixture, FaultedRunDegradesNonStrictLessThanStrict)
     ns.ordering = OrderingSource::Train;
     ns.link = kModemLink;
     ns.parallelLimit = 4;
-    SimResult strict_nom = sim_.run(strict);
-    SimResult ns_nom = sim_.run(ns);
+    SimResult strict_nom = runReplay(ctx_, strict);
+    SimResult ns_nom = runReplay(ctx_, ns);
 
     uint64_t bytes = 0;
     for (uint16_t c = 0; c < wl_.program.classCount(); ++c)
@@ -255,8 +255,8 @@ TEST_F(SimFixture, FaultedRunDegradesNonStrictLessThanStrict)
     plan.retryTimeoutCycles = strict_nom.totalCycles / 32;
     strict.faults = plan;
     ns.faults = plan;
-    SimResult strict_f = sim_.run(strict);
-    SimResult ns_f = sim_.run(ns);
+    SimResult strict_f = runReplay(ctx_, strict);
+    SimResult ns_f = runReplay(ctx_, ns);
 
     EXPECT_GT(strict_f.totalCycles, strict_nom.totalCycles);
     EXPECT_GE(ns_f.totalCycles, ns_nom.totalCycles);
@@ -269,6 +269,18 @@ TEST_F(SimFixture, FaultedRunDegradesNonStrictLessThanStrict)
     EXPECT_EQ(ns_f.execCycles, ns_nom.execCycles);
 }
 
+TEST(SimContextTest, RejectsACacheDirectory)
+{
+    // The on-disk profile cache is gone; naming a directory for it is
+    // a caller error rather than a silently ignored argument.
+    Workload wl = makeHanoi();
+    EXPECT_THROW(SimContext(wl.program, wl.natives, wl.trainInput,
+                            wl.testInput, ".nse-bench-cache"),
+                 FatalError);
+    EXPECT_NO_THROW(SimContext(wl.program, wl.natives, wl.trainInput,
+                               wl.testInput, ""));
+}
+
 TEST(SimSynthetic, WholePipelineOnGeneratedProgram)
 {
     SyntheticSpec spec;
@@ -277,12 +289,12 @@ TEST(SimSynthetic, WholePipelineOnGeneratedProgram)
     spec.methodsPerClass = 6;
     Program prog = makeSyntheticProgram(spec);
     NativeRegistry natives = standardNatives();
-    Simulator sim(prog, natives, {3, 5}, {3, 5, 9, 2});
+    SimContext ctx(prog, natives, {3, 5}, {3, 5, 9, 2});
 
     SimConfig strict;
     strict.mode = SimConfig::Mode::Strict;
     strict.link = kModemLink;
-    SimResult s = sim.run(strict);
+    SimResult s = runReplay(ctx, strict);
 
     SimConfig cfg;
     cfg.mode = SimConfig::Mode::Parallel;
@@ -290,7 +302,7 @@ TEST(SimSynthetic, WholePipelineOnGeneratedProgram)
     cfg.link = kModemLink;
     cfg.parallelLimit = 2;
     cfg.dataPartition = true;
-    SimResult r = sim.run(cfg);
+    SimResult r = runReplay(ctx, cfg);
     EXPECT_LE(r.totalCycles, s.totalCycles);
     EXPECT_EQ(r.execCycles, s.execCycles);
 }
