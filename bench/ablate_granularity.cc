@@ -11,7 +11,7 @@
  * overhead outweighs the small transfer win, so block-level
  * granularity is a net loss — on both links.
  *
- * The method-level column replays the context's recorded trace; the
+ * The method-level column is runReplay's interleaved mode; the
  * block-level column replays a second trace recorded with the
  * per-block delimiter charge.
  */
@@ -26,14 +26,14 @@ namespace
 {
 
 /**
- * Replay `trace` against an interleaved single-stream transfer with a
- * configurable availability reduction (bytes of the method's tail we
- * need not wait for).
+ * Replay the block-level trace against an interleaved single-stream
+ * transfer (Test ordering), waiting only for each method's prefix up
+ * to the end of its first basic block.
  */
 uint64_t
-replayInterleaved(const BenchWorkload &e, const ExecTrace &trace,
-                  const LinkModel &link,
-                  const std::map<MethodId, uint64_t> &avail_reduction)
+replayBlockLevel(const BenchWorkload &e, const ExecTrace &trace,
+                 const LinkModel &link,
+                 const std::map<MethodId, uint64_t> &avail_reduction)
 {
     LayoutKey key;
     key.parallel = false;
@@ -92,10 +92,13 @@ runAblateGranularity(BenchEnv &env, std::ostream &os)
             double base = static_cast<double>(
                 runReplay(*e.ctx, strictConfig(link)).totalCycles);
 
+            SimConfig method_cfg = headlineConfig(OrderingSource::Test,
+                                                  link);
+            method_cfg.mode = SimConfig::Mode::Interleaved;
             uint64_t method_level =
-                replayInterleaved(e, e.ctx->trace(), link, {});
+                runReplay(*e.ctx, method_cfg).totalCycles;
             uint64_t block_level =
-                replayInterleaved(e, block_trace, link, reduction);
+                replayBlockLevel(e, block_trace, link, reduction);
 
             row.push_back(
                 fmtF(100.0 * static_cast<double>(method_level) / base,

@@ -16,7 +16,6 @@
  */
 
 #include "bench/bench_env.h"
-#include "transfer/engine.h"
 #include "transfer/schedule.h"
 
 namespace nse
@@ -31,68 +30,37 @@ enum class Policy
     Greedy,
 };
 
-uint64_t
-replayParallel(const BenchWorkload &e, const LinkModel &link,
-               Policy policy, uint64_t *mispredictions)
+/** Parallel transfer, limit 4, Test ordering, under `policy`. */
+SimResult
+runPolicy(const BenchWorkload &e, const LinkModel &link, Policy policy)
 {
-    LayoutKey lkey;
-    lkey.parallel = true;
-    lkey.ordering = OrderingSource::Test;
-    const TransferLayout &layout = e.ctx->layout(lkey);
+    SimConfig cfg = headlineConfig(OrderingSource::Test, link);
+    if (policy == Policy::Greedy)
+        return runReplay(*e.ctx, cfg);
 
-    TransferEngine engine(link.cyclesPerByte, 4);
-    for (const StreamInfo &s : layout.streams)
-        engine.addStream(s.name, s.totalBytes);
-
-    switch (policy) {
-      case Policy::Demand: {
+    const TransferLayout &layout = e.ctx->layout(layoutKeyOf(cfg));
+    std::vector<uint64_t> starts(layout.streams.size(), UINT64_MAX);
+    if (policy == Policy::Demand) {
         // Only the entry class is requested up front.
-        int entry_stream =
-            layout.of(e.workload.program.entry()).streamIdx;
-        engine.scheduleStart(entry_stream, 0);
-        break;
-      }
-      case Policy::Eager: {
+        starts[static_cast<size_t>(
+            layout.of(e.workload.program.entry()).streamIdx)] = 0;
+    } else {
         // Everything at cycle 0; the queue honours first-use order.
-        const FirstUseOrder &order =
-            e.ctx->ordering(OrderingSource::Test);
         StreamDemand demand = deriveStreamDemand(
-            e.workload.program, order, layout,
-            e.ctx->methodCycles(OrderingSource::Test));
+            e.workload.program, e.ctx->ordering(OrderingSource::Test),
+            layout, e.ctx->methodCycles(OrderingSource::Test));
         uint64_t t = 0;
         for (int s : demand.streamOrder)
-            engine.scheduleStart(s, t++);
-        break;
-      }
-      case Policy::Greedy: {
-        ScheduleKey skey;
-        skey.layout = lkey;
-        skey.cyclesPerByte = link.cyclesPerByte;
-        skey.limit = 4;
-        const TransferSchedule &sched = e.ctx->schedule(skey);
-        for (size_t i = 0; i < sched.startCycle.size(); ++i)
-            engine.scheduleStart(static_cast<int>(i),
-                                 sched.startCycle[i]);
-        break;
-      }
+            starts[static_cast<size_t>(s)] = t++;
     }
-
-    uint64_t misses = 0;
+    OverlappedRun run(*e.ctx, cfg, nullptr, &starts);
+    size_t idx = 0;
+    const ExecTrace &trace = e.ctx->trace();
     uint64_t total =
-        replayTrace(e.ctx->trace(), [&](MethodId id, uint64_t clock) {
-            const MethodPlacement &pl = layout.of(id);
-            engine.advanceTo(clock);
-            const Stream &s = engine.stream(pl.streamIdx);
-            if (s.state == StreamState::Idle &&
-                s.scheduledStart > clock) {
-                ++misses;
-                engine.demandStart(pl.streamIdx, clock);
-            }
-            return engine.waitFor(pl.streamIdx, pl.availOffset, clock);
+        replayTrace(trace, [&](MethodId id, uint64_t clock) {
+            return run.wait(idx++, id, clock);
         });
-    if (mispredictions)
-        *mispredictions = misses;
-    return total;
+    return run.finish(total, trace.totals);
 }
 
 } // namespace
@@ -113,12 +81,12 @@ runAblateSchedule(BenchEnv &env, std::ostream &os)
                 runReplay(*e.ctx, strictConfig(link)).totalCycles);
             for (Policy p :
                  {Policy::Demand, Policy::Eager, Policy::Greedy}) {
-                uint64_t misses = 0;
-                uint64_t cycles = replayParallel(e, link, p, &misses);
+                SimResult r = runPolicy(e, link, p);
                 if (p == Policy::Demand)
-                    demand_misses = misses;
+                    demand_misses = r.mispredictions;
                 row.push_back(fmtF(
-                    100.0 * static_cast<double>(cycles) / base, 1));
+                    100.0 * static_cast<double>(r.totalCycles) / base,
+                    1));
             }
         }
         row.push_back(std::to_string(demand_misses));

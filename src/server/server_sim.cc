@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <memory>
 #include <queue>
 
 #include "support/error.h"
 #include "support/saturate.h"
-#include "transfer/runahead.h"
 
 namespace nse
 {
@@ -32,49 +32,6 @@ nearlyEqualRate(double a, double b)
            1e-12 * std::max(std::abs(a), std::abs(b));
 }
 
-void
-emitWait(EventSink *sink, uint64_t clock, uint64_t resume, int stream,
-         MethodId id, uint64_t offset)
-{
-    if (!sink)
-        return;
-    ObsEvent ev;
-    ev.cycle = clock;
-    ev.kind = ObsKind::MethodWait;
-    ev.stream = stream;
-    ev.cls = id.classIdx;
-    ev.method = id.methodIdx;
-    ev.a = resume;
-    ev.b = offset;
-    sink->record(ev);
-}
-
-void
-emitMispredict(EventSink *sink, uint64_t clock, int stream, MethodId id)
-{
-    if (!sink)
-        return;
-    ObsEvent ev;
-    ev.cycle = clock;
-    ev.kind = ObsKind::Mispredict;
-    ev.stream = stream;
-    ev.cls = id.classIdx;
-    ev.method = id.methodIdx;
-    sink->record(ev);
-}
-
-void
-emitEnd(EventSink *sink, const SimResult &r)
-{
-    if (!sink)
-        return;
-    ObsEvent ev;
-    ev.cycle = r.totalCycles;
-    ev.kind = ObsKind::RunEnd;
-    ev.a = r.execCycles;
-    sink->record(ev);
-}
-
 /** Per-client live state of the server event loop. All cycles are
  *  client-local unless suffixed with "Global". */
 struct ClientRt
@@ -94,10 +51,13 @@ struct ClientRt
     /** Global cycle of admission = client-local cycle 0. Equals
      *  `arrival` unless an admission limit queued the client. */
     uint64_t epoch = 0;
-    std::unique_ptr<TransferEngine> engine;
-    const TransferLayout *layout = nullptr; ///< null for Strict
-    const ExecTrace *trace = nullptr;       ///< null for Strict
-    bool parallel = false;
+    /** The overlapped run (the §5.1 step and its engine); null for
+     *  Strict clients, which own `strictEngine` instead. */
+    std::unique_ptr<OverlappedRun> run;
+    std::unique_ptr<TransferEngine> strictEngine;
+    /** Whichever of the two the client has. */
+    TransferEngine *engine = nullptr;
+    const ExecTrace *trace = nullptr; ///< null for Strict
     /** Strict clients run a two-wait script instead of the trace:
      *  1 = waiting on the entry class, 2 = waiting on the whole
      *  program, 3 = executing to completion. 0 = not strict. */
@@ -105,28 +65,20 @@ struct ClientRt
 
     Phase phase = Phase::Pending;
     size_t eventIdx = 0;
-    uint64_t stalls = 0;
-    bool entrySeen = false;
 
-    int blockStream = -1;
-    int blockObsStream = -1; ///< stream id recorded in MethodWait
-    uint64_t blockOffset = 0;
+    /** The open wait while Blocked, opened at client-local
+     *  blockClock. A strict client waits on its one whole-program
+     *  stream and records it as stream -1. */
+    FirstUseWait block;
     uint64_t blockClock = 0;
-    MethodId blockMethod{};
-    /** True when the current block was opened by a misprediction. The
-     *  static plan said nothing useful about this first use, so its
-     *  deadline (blockClock, already in the past) carries no ranking
-     *  information — the allocator ranks on the corrected horizon
-     *  below instead (see refreshDemand). */
-    bool blockMispredict = false;
     /** Corrected demand horizon for a mispredict-opened block: the
      *  global cycle of the client's *next* recorded first use (a lower
      *  bound — the open block only adds stalls). UINT64_MAX when the
-     *  blocked event is the last. */
+     *  blocked event is the last. A mispredicted block's own deadline
+     *  (blockClock, already in the past) carries no ranking
+     *  information, so the allocator ranks on this instead (see
+     *  refreshDemand). */
     uint64_t blockNextUseGlobal = UINT64_MAX;
-    /** Online runahead scheduler (transfer/runahead.h); null unless
-     *  the client's config enables it. */
-    std::unique_ptr<RunaheadScheduler> runahead;
 
     /** Edge-cache origin-fetch handle while in FetchWait, and the
      *  global cycle the fetch wait began (the cache request). */
@@ -209,44 +161,23 @@ draining(const ClientRt &rt)
             rt.eventIdx >= rt.trace->events.size());
 }
 
-void
-completeWait(ClientRt &rt, uint64_t clock, uint64_t resume,
-             int obsStream, MethodId id, uint64_t offset)
+/** Stall cycles the client's waits have booked so far. */
+uint64_t
+stallsOf(const ClientRt &rt)
 {
-    rt.stalls += resume - clock;
-    rt.out.sim.stallCycles += resume - clock;
-    emitWait(rt.sink, clock, resume, obsStream, id, offset);
-    if (!rt.entrySeen) {
-        rt.entrySeen = true;
-        rt.out.sim.invocationLatency = resume;
-    }
+    return rt.run ? rt.run->stalls() : rt.out.sim.stallCycles;
 }
 
 void
 finishClient(ClientRt &rt, uint64_t finishLocal)
 {
-    const SimContext &ctx = *rt.spec->ctx;
-    SimResult &r = rt.out.sim;
-    r.totalCycles = finishLocal;
-    if (rt.strictStage) {
-        const VmResult &exec = ctx.testProfile().result;
-        r.execCycles = exec.execCycles;
-        r.bytecodes = exec.bytecodes;
-        r.cpi = exec.cpi();
+    if (rt.run) {
+        rt.out.sim = rt.run->finish(finishLocal, rt.trace->totals);
     } else {
-        r.execCycles = rt.trace->totals.execCycles;
-        r.bytecodes = rt.trace->totals.bytecodes;
-        r.cpi = rt.trace->totals.cpi();
+        const SimContext &ctx = *rt.spec->ctx;
+        finishResult(rt.out.sim, ctx, rt.spec->config, finishLocal,
+                     ctx.testProfile().result, *rt.engine, rt.sink);
     }
-    // The paper's reference figure (and every table's denominator):
-    // the whole program front-to-back on the client's own link under
-    // its own plan, unthrottled by the server.
-    r.transferCycles = wholeProgramTransferCycles(
-        ctx.totalBytes(), ctx.entryClassBytes(), rt.spec->config.link,
-        rt.spec->config.faults);
-    r.retryCount = rt.engine->retryCount();
-    r.degradedCycles = rt.engine->degradedCycles();
-    emitEnd(rt.sink, r);
     rt.out.finished = rt.epoch + finishLocal;
     rt.phase = ClientRt::Phase::Finished;
 }
@@ -255,9 +186,11 @@ finishClient(ClientRt &rt, uint64_t finishLocal)
  * Run the client's replay forward as far as global cycle T allows:
  * resolve an arrived block, process every first-use wait whose clock
  * is due, and finish the run when its final clock is due. The
- * client's engine must already be advanced to T. Mirrors runReplay's
- * wait body statement for statement so per-wait accounting (stalls,
- * mispredictions, invocation latency, observed events) is identical.
+ * client's engine must already be advanced to T. Overlapped clients
+ * take each first use through their OverlappedRun; what stays here is
+ * only the server's own waiting: a wait whose bytes have not arrived
+ * blocks the client until the event loop has stepped its throttled
+ * engine far enough.
  */
 void
 progressClient(ClientRt &rt, uint64_t T)
@@ -265,7 +198,7 @@ progressClient(ClientRt &rt, uint64_t T)
     for (;;) {
         uint64_t local = T - rt.epoch;
         if (rt.phase == ClientRt::Phase::Blocked) {
-            if (!rt.engine->hasArrived(rt.blockStream, rt.blockOffset))
+            if (!rt.engine->hasArrived(rt.block.stream, rt.block.offset))
                 return;
             uint64_t resume =
                 std::max(rt.blockClock, rt.engine->time());
@@ -275,24 +208,21 @@ progressClient(ClientRt &rt, uint64_t T)
                 // whole program. No wait event yet — solo runStrict
                 // reports the entire transfer as ONE MethodWait, so
                 // keep blockClock at 0 and widen the target.
-                rt.entrySeen = true;
                 rt.out.sim.invocationLatency = resume;
                 rt.strictStage = 2;
-                rt.blockOffset = rt.spec->ctx->totalBytes();
+                rt.block.offset = rt.spec->ctx->totalBytes();
                 continue;
             }
             if (rt.strictStage == 2) {
-                completeWait(rt, rt.blockClock, resume, rt.blockObsStream,
-                             rt.blockMethod, 0);
+                rt.out.sim.stallCycles += resume - rt.blockClock;
+                observeWait(rt.sink, rt.blockClock, resume, -1,
+                            rt.block.method, 0);
                 rt.strictStage = 3;
                 rt.phase = ClientRt::Phase::Executing;
                 continue;
             }
-            completeWait(rt, rt.blockClock, resume, rt.blockObsStream,
-                         rt.blockMethod, rt.blockOffset);
+            rt.run->resume(rt.block, rt.blockClock, resume);
             rt.phase = ClientRt::Phase::Executing;
-            rt.blockMispredict = false;
-            rt.blockNextUseGlobal = UINT64_MAX;
             ++rt.eventIdx;
             continue;
         }
@@ -301,64 +231,40 @@ progressClient(ClientRt &rt, uint64_t T)
 
         if (rt.strictStage == 3) {
             const VmResult &exec = rt.spec->ctx->testProfile().result;
-            uint64_t fin = exec.execCycles + rt.stalls;
+            uint64_t fin = exec.execCycles + stallsOf(rt);
             if (fin > local)
                 return;
             finishClient(rt, fin);
             return;
         }
         if (rt.eventIdx >= rt.trace->events.size()) {
-            uint64_t fin = rt.trace->totals.clock + rt.stalls;
+            uint64_t fin = rt.trace->totals.clock + stallsOf(rt);
             if (fin > local)
                 return;
             finishClient(rt, fin);
             return;
         }
         const TraceEvent &te = rt.trace->events[rt.eventIdx];
-        uint64_t clock = te.execClock + rt.stalls;
+        uint64_t clock = te.execClock + stallsOf(rt);
         if (clock > local)
             return;
         NSE_ASSERT(clock == local,
                    "server loop missed a first-use instant");
-        rt.engine->advanceTo(clock);
-        const MethodPlacement &pl = rt.layout->of(te.method);
-        bool mispredicted = false;
-        if (rt.parallel) {
-            const Stream &s = rt.engine->stream(pl.streamIdx);
-            if (s.state == StreamState::Idle &&
-                s.scheduledStart > clock) {
-                // Misprediction (§5.1): needed but neither
-                // transferring nor about to — demand-fetch it.
-                ++rt.out.sim.mispredictions;
-                emitMispredict(rt.sink, clock, pl.streamIdx, te.method);
-                rt.engine->demandStart(pl.streamIdx, clock);
-                mispredicted = true;
-            }
-            if (rt.runahead && mispredicted &&
-                !rt.engine->hasArrived(pl.streamIdx, pl.availOffset))
-                rt.runahead->onStall(*rt.engine, rt.eventIdx, clock,
-                                     rt.sink);
-        }
-        if (rt.engine->hasArrived(pl.streamIdx, pl.availOffset)) {
-            uint64_t resume = std::max(clock, rt.engine->time());
-            completeWait(rt, clock, resume, pl.streamIdx, te.method,
-                         pl.availOffset);
+        FirstUseWait w = rt.run->arrive(rt.eventIdx, te.method, clock);
+        if (rt.engine->hasArrived(w.stream, w.offset)) {
+            rt.run->resume(w, clock, std::max(clock, rt.engine->time()));
             ++rt.eventIdx;
             continue;
         }
         rt.phase = ClientRt::Phase::Blocked;
+        rt.block = w;
         rt.blockClock = clock;
-        rt.blockStream = pl.streamIdx;
-        rt.blockObsStream = pl.streamIdx;
-        rt.blockOffset = pl.availOffset;
-        rt.blockMethod = te.method;
-        rt.blockMispredict = mispredicted;
         rt.blockNextUseGlobal =
             rt.eventIdx + 1 < rt.trace->events.size()
                 ? satAdd(rt.epoch,
                          satAdd(rt.trace->events[rt.eventIdx + 1]
                                     .execClock,
-                                rt.stalls))
+                                stallsOf(rt)))
                 : UINT64_MAX;
         return;
     }
@@ -375,30 +281,22 @@ setupClient(ClientRt &rt, size_t idx, const ServerOptions &opts)
     rt.sink = opts.sinkFor ? opts.sinkFor(idx) : nullptr;
     rt.nominalRate = linkRate(cfg.link);
     if (cfg.mode == SimConfig::Mode::Strict) {
-        rt.engine = std::make_unique<TransferEngine>(
+        rt.strictEngine = std::make_unique<TransferEngine>(
             cfg.link.cyclesPerByte, 1, cfg.faults);
+        rt.engine = rt.strictEngine.get();
         rt.engine->setSink(rt.sink);
         int s = rt.engine->addStream("whole-program", ctx.totalBytes());
         rt.engine->scheduleStart(s, 0);
         rt.strictStage = 1;
         rt.phase = ClientRt::Phase::Blocked;
-        rt.blockStream = s;
-        rt.blockObsStream = -1; // the strict whole-program wait
-        rt.blockOffset = ctx.entryClassBytes();
+        rt.block = {ctx.program().entry(), s, ctx.entryClassBytes(),
+                    false};
         rt.blockClock = 0;
-        rt.blockMethod = ctx.program().entry();
     } else {
-        rt.parallel = cfg.mode == SimConfig::Mode::Parallel;
-        rt.layout = &ctx.layout(layoutKeyOf(cfg));
-        rt.engine = std::make_unique<TransferEngine>(
-            makeOverlappedEngine(ctx, cfg, *rt.layout));
-        rt.engine->setSink(rt.sink);
+        rt.run = std::make_unique<OverlappedRun>(ctx, cfg, rt.sink);
+        rt.engine = &rt.run->engine();
         rt.trace = &ctx.trace();
         rt.phase = ClientRt::Phase::Executing;
-        if (rt.parallel && cfg.runaheadDepth > 0)
-            rt.runahead = std::make_unique<RunaheadScheduler>(
-                *rt.trace, *rt.layout, &ctx.callGraph(),
-                RunaheadConfig{cfg.runaheadDepth, cfg.runaheadK});
     }
     // Fire cycle-0 scheduled starts so the demand refresh below sees
     // the streams active (runReplay gets this from its first waitFor
@@ -435,18 +333,18 @@ computeCandidates(ClientRt &rt, const EdgeCache *cache)
       case ClientRt::Phase::Blocked:
         rt.nextAction = satAdd(
             rt.epoch,
-            rt.engine->nextStepToward(rt.blockStream, rt.blockOffset));
+            rt.engine->nextStepToward(rt.block.stream, rt.block.offset));
         rt.nextEngineEv = UINT64_MAX;
         return;
       case ClientRt::Phase::Executing: {
         uint64_t local;
         if (rt.strictStage == 3) {
             local = rt.spec->ctx->testProfile().result.execCycles +
-                    rt.stalls;
+                    stallsOf(rt);
         } else if (rt.eventIdx < rt.trace->events.size()) {
-            local = rt.trace->events[rt.eventIdx].execClock + rt.stalls;
+            local = rt.trace->events[rt.eventIdx].execClock + stallsOf(rt);
         } else {
-            local = rt.trace->totals.clock + rt.stalls;
+            local = rt.trace->totals.clock + stallsOf(rt);
         }
         rt.nextAction = satAdd(rt.epoch, local);
         rt.nextEngineEv = draining(rt)
@@ -499,6 +397,7 @@ runServer(const std::vector<ClientSpec> &clients,
     for (size_t i = 0; i < n; ++i) {
         NSE_CHECK(clients[i].ctx != nullptr,
                   "client spec without a context");
+        clients[i].config.validate(clients[i].ctx->totalBytes());
         rts[i].spec = &clients[i];
         rts[i].arrival = arrivals[i];
         rts[i].epoch = arrivals[i];
@@ -563,8 +462,9 @@ runServer(const std::vector<ClientSpec> &clients,
             // clients, so mispredict-opened blocks rank on the
             // corrected next-first-use horizon instead
             // (tests/runahead_test.cc pins the non-starvation).
-            nfu = rt.blockMispredict ? rt.blockNextUseGlobal
-                                     : satAdd(rt.epoch, rt.blockClock);
+            nfu = rt.block.mispredicted
+                      ? rt.blockNextUseGlobal
+                      : satAdd(rt.epoch, rt.blockClock);
         else if (rt.phase == ClientRt::Phase::Executing)
             nfu = rt.nextAction;
         else

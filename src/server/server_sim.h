@@ -45,10 +45,12 @@
  * with the water-filling cap tolerance (1e-12): re-split residue an
  * ulp away from the applied rate is the applied rate, so FP jitter
  * can neither inflate allocationIntervals nor trigger spurious
- * whole-fleet engine retimes. Blocked clients are stepped with the
- * engine's own nextStepToward bound — the identical arithmetic
- * waitFor uses — so a one-client server run reproduces the solo
- * runReplay SimResult cycle-for-cycle (tests/server_test.cc pins
+ * whole-fleet engine retimes. Each overlapped client takes its first
+ * uses through its own OverlappedRun (sim/replay.h), the step solo
+ * runs take too; the loop adds only the waiting. Blocked clients are
+ * stepped with the engine's own nextStepToward bound — the identical
+ * arithmetic waitFor uses — so a one-client server run reproduces the
+ * solo runReplay SimResult cycle-for-cycle (tests/server_test.cc pins
  * this), and a fleet whose uplink never saturates reproduces every
  * client's solo result simultaneously.
  *

@@ -1,6 +1,6 @@
 #include "sim/replay.h"
 
-#include <optional>
+#include <cmath>
 
 #include "analysis/callgraph.h"
 #include "transfer/engine.h"
@@ -60,17 +60,22 @@ layoutKeyOf(const SimConfig &cfg)
     return key;
 }
 
-namespace
-{
-
 void
-observe(EventSink *obs, const ObsEvent &ev)
+SimConfig::validate(uint64_t total_bytes) const
 {
-    if (obs)
-        obs->record(ev);
+    NSE_CHECK(std::isfinite(link.cyclesPerByte) &&
+                  link.cyclesPerByte > 0.0,
+              "link ", link.name ? link.name : "?",
+              " needs a finite positive cycles-per-byte, got ",
+              link.cyclesPerByte);
+    // 2^64 is exactly representable; a whole-program cost at or past
+    // it cannot be a cycle count.
+    NSE_CHECK(std::ceil(static_cast<double>(total_bytes) *
+                        link.cyclesPerByte) < 18446744073709551616.0,
+              "moving ", total_bytes, " bytes at ", link.cyclesPerByte,
+              " cycles per byte overflows the cycle counter");
 }
 
-/** One first-use wait, attributed to the awaited stream/method. */
 void
 observeWait(EventSink *obs, uint64_t clock, uint64_t resume,
             int stream, MethodId id, uint64_t offset)
@@ -88,29 +93,19 @@ observeWait(EventSink *obs, uint64_t clock, uint64_t resume,
     obs->record(ev);
 }
 
-void
-observeMispredict(EventSink *obs, uint64_t clock, int stream,
-                  MethodId id)
+namespace
 {
-    if (!obs)
-        return;
-    ObsEvent ev;
-    ev.cycle = clock;
-    ev.kind = ObsKind::Mispredict;
-    ev.stream = stream;
-    ev.cls = id.classIdx;
-    ev.method = id.methodIdx;
-    obs->record(ev);
-}
 
 void
 observeEnd(EventSink *obs, const SimResult &r)
 {
+    if (!obs)
+        return;
     ObsEvent ev;
     ev.cycle = r.totalCycles;
     ev.kind = ObsKind::RunEnd;
     ev.a = r.execCycles;
-    observe(obs, ev);
+    obs->record(ev);
 }
 
 SimResult
@@ -137,69 +132,155 @@ runStrict(const SimContext &ctx, const SimConfig &cfg, EventSink *obs)
 
 } // namespace
 
-TransferEngine
-makeOverlappedEngine(const SimContext &ctx, const SimConfig &cfg,
-                     const TransferLayout &layout)
+OverlappedRun::OverlappedRun(const SimContext &ctx, const SimConfig &cfg,
+                             EventSink *obs,
+                             const std::vector<uint64_t> *starts)
+    : ctx_(&ctx), cfg_(&cfg), obs_(obs),
+      layout_(&ctx.layout(layoutKeyOf(cfg))),
+      engine_(cfg.link.cyclesPerByte,
+              cfg.mode == SimConfig::Mode::Parallel ? cfg.parallelLimit
+                                                    : 1,
+              cfg.faults)
 {
+    NSE_CHECK(cfg.mode != SimConfig::Mode::Strict,
+              "an overlapped run needs Parallel or Interleaved mode");
     bool parallel = cfg.mode == SimConfig::Mode::Parallel;
-    TransferEngine engine(cfg.link.cyclesPerByte,
-                          parallel ? cfg.parallelLimit : 1, cfg.faults);
-    for (const StreamInfo &s : layout.streams)
-        engine.addStream(s.name, s.totalBytes);
-
-    if (parallel) {
+    for (const StreamInfo &s : layout_->streams)
+        engine_.addStream(s.name, s.totalBytes);
+    if (!starts && parallel) {
         ScheduleKey skey;
         skey.layout = layoutKeyOf(cfg);
         skey.cyclesPerByte = cfg.link.cyclesPerByte;
         skey.limit = cfg.parallelLimit;
-        const TransferSchedule &sched = ctx.schedule(skey);
-        for (size_t i = 0; i < sched.startCycle.size(); ++i)
-            engine.scheduleStart(static_cast<int>(i),
-                                 sched.startCycle[i]);
-    } else {
-        engine.scheduleStart(0, 0);
+        starts = &ctx.schedule(skey).startCycle;
     }
-    return engine;
+    if (starts) {
+        NSE_CHECK(starts->size() == layout_->streams.size(),
+                  "start plan covers ", starts->size(), " of ",
+                  layout_->streams.size(), " streams");
+        for (size_t i = 0; i < starts->size(); ++i)
+            engine_.scheduleStart(static_cast<int>(i), (*starts)[i]);
+    } else {
+        engine_.scheduleStart(0, 0);
+    }
+    engine_.setSink(obs);
+    if (parallel && cfg.runaheadDepth > 0)
+        runahead_.emplace(ctx.trace(), *layout_, &ctx.callGraph(),
+                          RunaheadConfig{cfg.runaheadDepth,
+                                         cfg.runaheadK});
+}
+
+FirstUseWait
+OverlappedRun::arrive(size_t idx, MethodId id, uint64_t clock)
+{
+    const MethodPlacement &pl = layout_->of(id);
+    FirstUseWait w{id, pl.streamIdx, pl.availOffset, false};
+    engine_.advanceTo(clock);
+    const Stream &s = engine_.stream(w.stream);
+    if (cfg_->mode == SimConfig::Mode::Parallel &&
+        s.state == StreamState::Idle && s.scheduledStart > clock) {
+        // Misprediction (§5.1): the class is needed but neither
+        // transferring nor about to — fetch it on demand.
+        w.mispredicted = true;
+        ++result_.mispredictions;
+        if (obs_) {
+            ObsEvent ev;
+            ev.cycle = clock;
+            ev.kind = ObsKind::Mispredict;
+            ev.stream = w.stream;
+            ev.cls = id.classIdx;
+            ev.method = id.methodIdx;
+            obs_->record(ev);
+        }
+        engine_.demandStart(w.stream, clock);
+        if (runahead_ && !engine_.hasArrived(w.stream, w.offset))
+            runahead_->onStall(engine_, idx, clock, obs_);
+    }
+    return w;
+}
+
+void
+OverlappedRun::resume(const FirstUseWait &w, uint64_t clock,
+                      uint64_t resume)
+{
+    result_.stallCycles += resume - clock;
+    observeWait(obs_, clock, resume, w.stream, w.method, w.offset);
+    if (!entrySeen_) {
+        entrySeen_ = true;
+        result_.invocationLatency = resume;
+    }
+    lastResume_ = resume;
+}
+
+uint64_t
+OverlappedRun::wait(size_t idx, MethodId id, uint64_t clock)
+{
+    FirstUseWait w = arrive(idx, id, clock);
+    uint64_t r = engine_.waitFor(w.stream, w.offset, clock);
+    resume(w, clock, r);
+    return r;
+}
+
+SimResult
+OverlappedRun::finish(uint64_t final_clock, const VmResult &totals)
+{
+    // A caller that answered waits without stepping the engine (the
+    // batched replay window) leaves it behind the last resume; catch
+    // it up so retry/degraded accounting matches the per-event path.
+    if (lastResume_ > engine_.time())
+        engine_.advanceTo(lastResume_);
+    SimResult r = result_;
+    finishResult(r, *ctx_, *cfg_, final_clock, totals, engine_, obs_);
+    return r;
+}
+
+void
+finishResult(SimResult &r, const SimContext &ctx, const SimConfig &cfg,
+             uint64_t final_clock, const VmResult &totals,
+             const TransferEngine &engine, EventSink *obs)
+{
+    r.totalCycles = final_clock;
+    r.execCycles = totals.execCycles;
+    // The paper's reference figure (and every table's denominator):
+    // the whole program front-to-back on the run's own link under its
+    // own plan.
+    r.transferCycles = wholeProgramTransferCycles(
+        ctx.totalBytes(), ctx.entryClassBytes(), cfg.link, cfg.faults);
+    r.bytecodes = totals.bytecodes;
+    r.cpi = totals.cpi();
+    r.retryCount = engine.retryCount();
+    r.degradedCycles = engine.degradedCycles();
+    observeEnd(obs, r);
 }
 
 SimResult
 runReplay(const SimContext &ctx, const SimConfig &cfg, EventSink *obs)
 {
+    cfg.validate(ctx.totalBytes());
     if (cfg.mode == SimConfig::Mode::Strict)
         return runStrict(ctx, cfg, obs);
 
     bool parallel = cfg.mode == SimConfig::Mode::Parallel;
-    const TransferLayout &layout = ctx.layout(layoutKeyOf(cfg));
-    TransferEngine engine = makeOverlappedEngine(ctx, cfg, layout);
-    engine.setSink(obs);
-
-    SimResult r;
-    bool entry_seen = false;
+    OverlappedRun run(ctx, cfg, obs);
+    const TransferEngine &engine = run.engine();
+    const TransferLayout &layout = run.layout();
     const ExecTrace &trace = ctx.trace();
-    std::optional<RunaheadScheduler> runahead;
-    if (parallel && cfg.runaheadDepth > 0)
-        runahead.emplace(trace, layout, &ctx.callGraph(),
-                         RunaheadConfig{cfg.runaheadDepth, cfg.runaheadK});
     // Batched integration: inside a quiet window (nothing in flight,
     // next scheduled start still ahead) the engine's state is frozen,
     // so a first-use whose needed prefix has already arrived resolves
     // to `resume == clock` by pure arithmetic — whole runs of events
     // between watch crossings cost one predicate each instead of an
     // engine advance. Sinked runs take the same fast path: the elided
-    // MethodWait is synthesized directly (zero stall, by the window
+    // MethodWait is recorded directly (zero stall, by the window
     // predicate), and every event the frozen engine would eventually
     // emit carries a cycle at or past the window bound, so the
-    // recorded stream respects the EventSink ordering contract —
-    // pinned event-for-event against the forced path by
-    // tests/runahead_test.cc. Any event the fast path cannot answer
-    // (stream mid-flight, prefix missing, possible misprediction)
-    // falls back to the exact per-event sequence, then re-arms the
-    // window. The final advanceTo below restores the engine clock the
-    // per-event integrator would have left, keeping retry/degraded
-    // accounting and the returned SimResult field-for-field identical
-    // (tests/replay_test.cc pins this against runLiveReference).
-    uint64_t quiet = cfg.forceExactReplay ? 0 : engine.quietUntil();
-    uint64_t last_resume = 0;
+    // recorded stream respects the EventSink ordering contract. Any
+    // event the fast path cannot answer (stream mid-flight, prefix
+    // missing, possible misprediction) takes the exact per-event step,
+    // then re-arms the window. tests/replay_test.cc and
+    // tests/runahead_test.cc pin results and recorded events equal to
+    // runLiveReference, which never batches.
+    uint64_t quiet = engine.quietUntil();
     size_t ev_idx = 0;
     uint64_t final_clock =
         replayTrace(trace, [&](MethodId id, uint64_t clock) {
@@ -209,127 +290,37 @@ runReplay(const SimContext &ctx, const SimConfig &cfg, EventSink *obs)
                 engine.hasArrived(pl.streamIdx, pl.availOffset) &&
                 !(parallel && engine.stream(pl.streamIdx).state ==
                                   StreamState::Idle)) {
-                if (!entry_seen) {
-                    entry_seen = true;
-                    r.invocationLatency = clock;
-                }
-                observeWait(obs, clock, clock, pl.streamIdx, id,
-                            pl.availOffset);
-                last_resume = clock;
+                run.resume({id, pl.streamIdx, pl.availOffset, false},
+                           clock, clock);
                 return clock;
             }
-            if (parallel) {
-                engine.advanceTo(clock);
-                const Stream &s = engine.stream(pl.streamIdx);
-                bool mispredicted = false;
-                if (s.state == StreamState::Idle &&
-                    s.scheduledStart > clock) {
-                    // Misprediction (§5.1): the class is needed but
-                    // neither transferring nor about to — fetch it on
-                    // demand.
-                    ++r.mispredictions;
-                    observeMispredict(obs, clock, pl.streamIdx, id);
-                    engine.demandStart(pl.streamIdx, clock);
-                    mispredicted = true;
-                }
-                if (runahead && mispredicted &&
-                    !engine.hasArrived(pl.streamIdx, pl.availOffset))
-                    runahead->onStall(engine, idx, clock, obs);
-            }
-            uint64_t resume =
-                engine.waitFor(pl.streamIdx, pl.availOffset, clock);
-            r.stallCycles += resume - clock;
-            observeWait(obs, clock, resume, pl.streamIdx, id,
-                        pl.availOffset);
-            if (!entry_seen) {
-                entry_seen = true;
-                r.invocationLatency = resume;
-            }
-            quiet = cfg.forceExactReplay ? 0 : engine.quietUntil();
-            last_resume = resume;
+            uint64_t resume = run.wait(idx, id, clock);
+            quiet = engine.quietUntil();
             return resume;
         });
-    if (last_resume > engine.time())
-        engine.advanceTo(last_resume);
-
-    r.totalCycles = final_clock;
-    r.execCycles = trace.totals.execCycles;
-    r.transferCycles = wholeProgramTransferCycles(
-        ctx.totalBytes(), ctx.entryClassBytes(), cfg.link, cfg.faults);
-    r.bytecodes = trace.totals.bytecodes;
-    r.cpi = trace.totals.cpi();
-    r.retryCount = engine.retryCount();
-    r.degradedCycles = engine.degradedCycles();
-    observeEnd(obs, r);
-    return r;
+    return run.finish(final_clock, trace.totals);
 }
 
 SimResult
 runLiveReference(const SimContext &ctx, const SimConfig &cfg,
                  EventSink *obs)
 {
+    cfg.validate(ctx.totalBytes());
     if (cfg.mode == SimConfig::Mode::Strict)
         return runStrict(ctx, cfg, obs);
 
-    bool parallel = cfg.mode == SimConfig::Mode::Parallel;
-    const TransferLayout &layout = ctx.layout(layoutKeyOf(cfg));
-    TransferEngine engine = makeOverlappedEngine(ctx, cfg, layout);
-    engine.setSink(obs);
-
-    SimResult r;
-    bool entry_seen = false;
-    // The live run's first-use sequence is identical to the recorded
-    // trace's (that is the record-once/replay-many invariant), so the
-    // runahead scheduler may run ahead in the recorded trace indexed
-    // by a plain hook counter.
-    std::optional<RunaheadScheduler> runahead;
-    if (parallel && cfg.runaheadDepth > 0)
-        runahead.emplace(ctx.trace(), layout, &ctx.callGraph(),
-                         RunaheadConfig{cfg.runaheadDepth, cfg.runaheadK});
+    OverlappedRun run(ctx, cfg, obs);
+    // The live run's first-use sequence is the recorded trace's (the
+    // record-once/replay-many invariant), so a plain hook counter
+    // indexes the trace for runahead.
     size_t hook_idx = 0;
     Vm vm(ctx.program(), ctx.natives(), ctx.testInput(), {},
           &ctx.decoded());
     vm.setFirstUseHook([&](MethodId id, uint64_t clock) {
-        size_t idx = hook_idx++;
-        const MethodPlacement &pl = layout.of(id);
-        if (parallel) {
-            engine.advanceTo(clock);
-            const Stream &s = engine.stream(pl.streamIdx);
-            bool mispredicted = false;
-            if (s.state == StreamState::Idle &&
-                s.scheduledStart > clock) {
-                ++r.mispredictions;
-                observeMispredict(obs, clock, pl.streamIdx, id);
-                engine.demandStart(pl.streamIdx, clock);
-                mispredicted = true;
-            }
-            if (runahead && mispredicted &&
-                !engine.hasArrived(pl.streamIdx, pl.availOffset))
-                runahead->onStall(engine, idx, clock, obs);
-        }
-        uint64_t resume = engine.waitFor(pl.streamIdx, pl.availOffset,
-                                         clock);
-        r.stallCycles += resume - clock;
-        observeWait(obs, clock, resume, pl.streamIdx, id,
-                    pl.availOffset);
-        if (!entry_seen) {
-            entry_seen = true;
-            r.invocationLatency = resume;
-        }
-        return resume;
+        return run.wait(hook_idx++, id, clock);
     });
-
     VmResult exec = vm.run();
-    r.totalCycles = exec.clock;
-    r.execCycles = exec.execCycles;
-    r.transferCycles = wholeProgramTransferCycles(
-        ctx.totalBytes(), ctx.entryClassBytes(), cfg.link, cfg.faults);
-    r.bytecodes = exec.bytecodes;
-    r.cpi = exec.cpi();
-    r.retryCount = engine.retryCount();
-    r.degradedCycles = engine.degradedCycles();
-    observeEnd(obs, r);
-    return r;
+    return run.finish(exec.clock, exec);
 }
 
 } // namespace nse

@@ -8,15 +8,20 @@
  * *what* executes: the sequence of first-use events and the exec
  * cycles between them are invariant across every transfer
  * configuration. So one recorded ExecTrace replays against a fresh
- * TransferEngine with the exact misprediction / demand-fetch / stall
- * logic of the live run — no interpreter in the loop — and produces a
- * field-for-field identical SimResult (proven by tests/replay_test.cc
- * against runLiveReference, the retained interpreter-in-the-loop
- * implementation).
+ * TransferEngine and produces a field-for-field identical SimResult
+ * (proven by tests/replay_test.cc against runLiveReference, the
+ * retained interpreter-in-the-loop implementation).
+ *
+ * The run-time rule at each first use (paper §5.1) lives once, in
+ * OverlappedRun; runReplay, runLiveReference, every overlapped server
+ * client (server/server_sim.h) and the schedule ablation drive it.
  */
 
 #ifndef NSE_SIM_REPLAY_H
 #define NSE_SIM_REPLAY_H
+
+#include <optional>
+#include <vector>
 
 #include "obs/event.h"
 #include "sim/context.h"
@@ -24,6 +29,7 @@
 #include "transfer/engine.h"
 #include "transfer/faults.h"
 #include "transfer/link.h"
+#include "transfer/runahead.h"
 
 namespace nse
 {
@@ -71,13 +77,15 @@ struct SimConfig
     uint32_t runaheadDepth = 0;
     /** Max streams runahead may promote per stall. */
     uint32_t runaheadK = 4;
+
     /**
-     * Test-only: force the exact per-event integration path, never
-     * the quiet-window batched fast path. Results and observed events
-     * are identical either way — this knob exists so the equality is
-     * testable (tests/replay_test.cc, tests/runahead_test.cc).
+     * Raise FatalError unless the link can carry a `total_bytes`
+     * program: cyclesPerByte must be finite and positive, and the
+     * whole-program cost ceil(total_bytes x cyclesPerByte) must fit a
+     * uint64_t cycle count. Every public entry point that runs a
+     * configuration calls it first.
      */
-    bool forceExactReplay = false;
+    void validate(uint64_t total_bytes) const;
 };
 
 /** Measurements of one simulated run. */
@@ -112,19 +120,6 @@ struct SimResult
 
 /** The memoized-layout identity a configuration selects. */
 LayoutKey layoutKeyOf(const SimConfig &cfg);
-
-/**
- * Set up the transfer engine for an overlapped (Parallel or
- * Interleaved) run: register every layout stream, then either apply
- * the context's memoized greedy schedule (parallel) or start the
- * single interleaved file at cycle 0. Shared by the replay executor
- * and the multi-client server simulation (server/server_sim.h), so a
- * server client's per-link engine is constructed identically to a
- * solo run's.
- */
-TransferEngine makeOverlappedEngine(const SimContext &ctx,
-                                    const SimConfig &cfg,
-                                    const TransferLayout &layout);
 
 /**
  * Percent normalized execution time (smaller is better, paper §7.2).
@@ -176,14 +171,96 @@ uint64_t wholeProgramTransferCycles(uint64_t total_bytes,
                                     uint64_t *degraded_cycles = nullptr,
                                     EventSink *obs = nullptr);
 
+/** Record one first use's wait on `obs` (null records nothing). */
+void observeWait(EventSink *obs, uint64_t clock, uint64_t resume,
+                 int stream, MethodId id, uint64_t offset);
+
+/**
+ * Fill in the end-of-run fields of `r` for a run of (ctx, cfg) that
+ * ended at `final_clock` after executing `totals`, its transfers
+ * carried by `engine`, and record RunEnd on `obs`.
+ */
+void finishResult(SimResult &r, const SimContext &ctx,
+                  const SimConfig &cfg, uint64_t final_clock,
+                  const VmResult &totals, const TransferEngine &engine,
+                  EventSink *obs);
+
+/** Where one first use waits, as OverlappedRun::arrive resolved it. */
+struct FirstUseWait
+{
+    MethodId method{};
+    int stream = -1;
+    /** Stream offset at which the method's delimiter has arrived. */
+    uint64_t offset = 0;
+    /** Neither transferring nor due (§5.1): demand-fetched. */
+    bool mispredicted = false;
+};
+
+/**
+ * One overlapped (Parallel or Interleaved) run, stepped one first use
+ * at a time: the paper's run-time rule (§5.1) in one place. It owns
+ * the run's layout, TransferEngine, optional RunaheadScheduler, sink
+ * and the SimResult being built; each executor brings only its clock
+ * and its way of waiting:
+ *
+ *   arrive  advance the engine to the first use's clock, demand-fetch
+ *           a mispredicted class, trigger runahead; returns the wait;
+ *   (the executor waits: engine().waitFor, or a server event loop
+ *   stepping a throttled engine until the bytes have arrived)
+ *   resume  book the stall, record MethodWait, and take the first
+ *           wait's resume clock as the invocation latency;
+ *   finish  fill in the rest of the SimResult and record RunEnd.
+ *
+ * `ctx`, `cfg` and `obs` must outlive the run.
+ */
+class OverlappedRun
+{
+  public:
+    /** Registers every layout stream and starts them on the memoized
+     *  greedy schedule (Parallel) or at cycle 0 (Interleaved) — or,
+     *  given `starts`, at one planned cycle per stream (UINT64_MAX =
+     *  none), for schedule-policy experiments. */
+    OverlappedRun(const SimContext &ctx, const SimConfig &cfg,
+                  EventSink *obs = nullptr,
+                  const std::vector<uint64_t> *starts = nullptr);
+
+    /** Trace event `idx` (method `id`) is due at `clock`. */
+    FirstUseWait arrive(size_t idx, MethodId id, uint64_t clock);
+    /** The wait `w`, opened at `clock`, ends at `resume`. */
+    void resume(const FirstUseWait &w, uint64_t clock, uint64_t resume);
+    /** arrive, engine().waitFor, resume: a first use on an engine
+     *  nothing else throttles. Returns the resume clock. */
+    uint64_t wait(size_t idx, MethodId id, uint64_t clock);
+    /** The run ended at `final_clock` after executing `totals`. */
+    SimResult finish(uint64_t final_clock, const VmResult &totals);
+
+    TransferEngine &engine() { return engine_; }
+    const TransferLayout &layout() const { return *layout_; }
+    /** Stall cycles booked so far. */
+    uint64_t stalls() const { return result_.stallCycles; }
+
+  private:
+    const SimContext *ctx_;
+    const SimConfig *cfg_;
+    EventSink *obs_;
+    const TransferLayout *layout_;
+    TransferEngine engine_;
+    std::optional<RunaheadScheduler> runahead_;
+    SimResult result_;
+    bool entrySeen_ = false;
+    uint64_t lastResume_ = 0;
+};
+
 /**
  * Replay the recorded trace against an arbitrary wait function, which
  * plays exactly the role of the VM first-use hook: it is called once
  * per first-use event with (method, clock) and returns the (>=) clock
  * at which execution proceeds. Returns the final clock — the trace's
- * stall-free clock plus every injected stall. This is the primitive
- * custom co-simulations (schedule policies, JIT models, adaptive
- * transfer) build on instead of re-running the interpreter.
+ * stall-free clock plus every injected stall. runReplay and the
+ * schedule ablation drive an OverlappedRun through it; the JIT model
+ * (ext_jit), the adaptive interleaver (ext_adaptive) and the
+ * block-level column of the granularity ablation wait on transfer
+ * models of their own.
  */
 template <typename WaitFn>
 uint64_t

@@ -125,7 +125,6 @@ TEST(EdgeKeyTest, EvaluationKnobsShareRestructuringKnobsSplit)
     // not change the served bytes: one shared entry.
     SimConfig evalOnly = cfg;
     evalOnly.runaheadDepth = 8;
-    evalOnly.forceExactReplay = true;
     evalOnly.faults.dropSeed = 99;
     evalOnly.faults.dropsPerMByte = 10.0;
     EXPECT_TRUE(edgeKeyOf(ctx, cfg) == edgeKeyOf(ctx, evalOnly));

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/event.h"
+#include "obs/trace.h"
 #include "sim/replay.h"
 #include "workloads/synthetic.h"
 #include "workloads/workload.h"
@@ -37,6 +38,27 @@ expectIdentical(const SimResult &replay, const SimResult &live,
     EXPECT_EQ(replay.retryCount, live.retryCount) << what;
     EXPECT_EQ(replay.degradedCycles, live.degradedCycles) << what;
 }
+
+void
+expectSameEvents(const EventTrace &a, const EventTrace &b,
+                 const std::string &what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t i = 0; i < a.size(); ++i) {
+        const ObsEvent &x = a.events()[i];
+        const ObsEvent &y = b.events()[i];
+        EXPECT_EQ(x.cycle, y.cycle) << what << " event " << i;
+        EXPECT_EQ(x.kind, y.kind) << what << " event " << i;
+        EXPECT_EQ(x.stream, y.stream) << what << " event " << i;
+        EXPECT_EQ(x.cls, y.cls) << what << " event " << i;
+        EXPECT_EQ(x.method, y.method) << what << " event " << i;
+        EXPECT_EQ(x.a, y.a) << what << " event " << i;
+        EXPECT_EQ(x.b, y.b) << what << " event " << i;
+    }
+}
+
+/** A link fast enough that the transfer finishes mid-run. */
+constexpr LinkModel kFastLink{"Fast", 200.0};
 
 /** A fault plan with degraded burst windows plus connection drops. */
 FaultPlan
@@ -89,6 +111,9 @@ variants()
 {
     return {
         {"t1-limit4-nominal", kT1Link, 4, false, false, {}},
+        // Execution outlasts the transfer: Parallel runs reach quiet
+        // windows, so the batched fast path answers most first uses.
+        {"fast-limit4-nominal", kFastLink, 4, false, false, {}},
         {"modem-limit1-part-faulty", kModemLink, 1, true, false,
          faultyPlan()},
         {"modem-unlimited-classstrict-unity", kModemLink, -1, false,
@@ -147,21 +172,14 @@ TEST(Replay, MatchesLiveCoSimulationOnSyntheticProgram)
     checkAllConfigs(ctx);
 }
 
-TEST(Replay, BatchedIntegratorMatchesForcedPerEventPath)
+TEST(Replay, BatchedIntegratorMatchesLiveReference)
 {
-    // forceExactReplay pins runReplay to the exact per-event
-    // integration path; by default the quiet-window fast path may
-    // answer whole runs of first-uses arithmetically, with or without
-    // a sink attached (sinked runs synthesize the elided MethodWait
-    // events — tests/runahead_test.cc pins the recorded streams equal
-    // event for event). All three must return field-for-field
-    // identical results on every sampled configuration.
-    class NullSink : public EventSink
-    {
-      public:
-        void record(const ObsEvent &) override {}
-    };
-
+    // runReplay's quiet-window fast path may answer whole runs of
+    // first-uses arithmetically, with or without a sink attached
+    // (sinked runs record the elided MethodWait events directly).
+    // runLiveReference never batches, so on every sampled
+    // configuration the batched run must match it field for field and
+    // record the same event stream, event for event.
     Workload wl = makeZipper();
     SimContext ctx(wl.program, wl.natives, wl.trainInput,
                    wl.testInput);
@@ -181,20 +199,16 @@ TEST(Replay, BatchedIntegratorMatchesForcedPerEventPath)
                 cfg.dataPartition = v.partition;
                 cfg.classStrict = v.classStrict;
                 cfg.faults = v.faults;
-                SimConfig forced = cfg;
-                forced.forceExactReplay = true;
-                SimResult batched = runReplay(ctx, cfg);
-                expectIdentical(
-                    batched, runReplay(ctx, forced),
-                    cat("forced ", v.name,
-                        " mode=", static_cast<int>(mode),
-                        " ord=", orderingName(ord)));
-                NullSink sink;
-                expectIdentical(
-                    batched, runReplay(ctx, cfg, &sink),
-                    cat("sinked ", v.name,
-                        " mode=", static_cast<int>(mode),
-                        " ord=", orderingName(ord)));
+                std::string what =
+                    cat(v.name, " mode=", static_cast<int>(mode),
+                        " ord=", orderingName(ord));
+                EventTrace batched, live;
+                SimResult r = runReplay(ctx, cfg, &batched);
+                expectIdentical(r, runLiveReference(ctx, cfg, &live),
+                                what);
+                expectSameEvents(batched, live, what);
+                expectIdentical(r, runReplay(ctx, cfg),
+                                cat("unsinked ", what));
             }
         }
     }

@@ -8,10 +8,10 @@
  *    same SimResult fields, same recorded event stream, no
  *    RunaheadPromote/RunaheadDefer events — the knob cannot perturb a
  *    run that does not ask for it;
- *  - the quiet-window batched fast path now runs with an EventSink
- *    attached, synthesizing the elided MethodWait events; the
- *    recorded stream is pinned equal event for event against the
- *    forced per-event path (SimConfig::forceExactReplay);
+ *  - the quiet-window batched fast path runs with an EventSink
+ *    attached, recording the elided MethodWait events directly; the
+ *    recorded stream is pinned equal event for event against
+ *    runLiveReference, which never batches;
  *  - with runahead enabled, runReplay stays field-for-field identical
  *    to runLiveReference (the interpreter-in-the-loop co-simulation);
  *  - on a genuinely mispredicting train-on-A/run-on-B workload,
@@ -134,6 +134,8 @@ variants()
 {
     return {
         {"t1-limit4-nominal", kT1Link, 4, false, {}},
+        // Execution outlasts the transfer: the batched fast path runs.
+        {"fast-limit4-nominal", LinkModel{"Fast", 200.0}, 4, false, {}},
         {"modem-limit1-part-faulty", kModemLink, 1, true, faultyPlan()},
         {"t1-limit2-faulty", kT1Link, 2, false, faultyPlan()},
     };
@@ -177,13 +179,12 @@ TEST(Runahead, DepthZeroIsBitIdenticalToStaticReplay)
     }
 }
 
-TEST(Runahead, SinkedFastPathEventsMatchForcedExactPath)
+TEST(Runahead, SinkedFastPathEventsMatchLiveReference)
 {
-    // Satellite fix: the quiet-window batched integrator used to turn
-    // itself off whenever an EventSink was attached. It now runs and
-    // synthesizes the elided MethodWait events; the recorded stream
-    // must equal the forced per-event path event for event — with
-    // runahead off and on.
+    // The quiet-window batched integrator runs with an EventSink
+    // attached and records the elided MethodWait events itself; the
+    // recorded stream must equal runLiveReference's (which never
+    // batches) event for event — with runahead off and on.
     const SimContext &ctx = zipperCtx();
     const OrderingSource orders[] = {OrderingSource::Static,
                                      OrderingSource::Train,
@@ -199,15 +200,14 @@ TEST(Runahead, SinkedFastPathEventsMatchForcedExactPath)
                 cfg.dataPartition = v.partition;
                 cfg.faults = v.faults;
                 cfg.runaheadDepth = depth;
-                SimConfig forced = cfg;
-                forced.forceExactReplay = true;
                 std::string what = cat(v.name, " ord=",
                                        orderingName(ord), " depth=",
                                        depth);
-                EventTrace batched, exact;
+                EventTrace batched, live;
                 expectIdentical(runReplay(ctx, cfg, &batched),
-                                runReplay(ctx, forced, &exact), what);
-                expectSameEvents(batched, exact, what);
+                                runLiveReference(ctx, cfg, &live),
+                                what);
+                expectSameEvents(batched, live, what);
             }
         }
     }

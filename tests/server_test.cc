@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "obs/stall.h"
@@ -55,11 +56,32 @@ baseConfig(SimConfig::Mode mode, LinkModel link)
     return cfg;
 }
 
+/** Links no run can use: non-positive, non-finite, or so slow the
+ *  whole program's cost overflows a cycle count. */
+std::vector<LinkModel>
+badLinks()
+{
+    return {{"negative", -1.0},
+            {"zero", 0.0},
+            {"overflowing", 1e30},
+            {"infinite", std::numeric_limits<double>::infinity()},
+            {"nan", std::numeric_limits<double>::quiet_NaN()}};
+}
+
 /** The shared test workload context (expensive: built once). */
 const SimContext &
 zipperCtx()
 {
     static Workload wl = makeZipper();
+    static SimContext ctx(wl.program, wl.natives, wl.trainInput,
+                          wl.testInput);
+    return ctx;
+}
+
+const SimContext &
+ruleEngineCtx()
+{
+    static Workload wl = makeRuleEngine();
     static SimContext ctx(wl.program, wl.natives, wl.trainInput,
                           wl.testInput);
     return ctx;
@@ -123,23 +145,46 @@ runObserved(const std::vector<ClientSpec> &clients,
 
 TEST(ServerSim, OneClientMatchesSoloReplayExactly)
 {
-    const SimContext &ctx = zipperCtx();
     EqualShareAllocator equal;
     struct Case
     {
         const char *name;
+        const SimContext *ctx;
         SimConfig cfg;
     };
     std::vector<Case> cases;
     for (SimConfig::Mode mode :
          {SimConfig::Mode::Parallel, SimConfig::Mode::Interleaved}) {
         SimConfig nominal = baseConfig(mode, kT1Link);
-        cases.push_back({"nominal", nominal});
         SimConfig faulted = baseConfig(mode, kModemLink);
         faulted.faults = faultyPlan();
-        cases.push_back({"faulted", faulted});
+        cases.push_back({"nominal", &zipperCtx(), nominal});
+        cases.push_back({"faulted", &zipperCtx(), faulted});
+        // SCG and RTA mispredict on RuleEngine, so the demand-fetch
+        // half of the first-use rule runs too. MustUse runs on Zipper:
+        // its use analysis costs about a second on RuleEngine.
+        for (OrderingSource ord :
+             {OrderingSource::Static, OrderingSource::RtaStatic,
+              OrderingSource::MustUse}) {
+            const SimContext *ctx = ord == OrderingSource::MustUse
+                                        ? &zipperCtx()
+                                        : &ruleEngineCtx();
+            for (bool partition : {false, true}) {
+                for (bool classStrict : {false, true}) {
+                    for (Case c : {Case{"nominal", ctx, nominal},
+                                   Case{"faulted", ctx, faulted}}) {
+                        c.cfg.ordering = ord;
+                        c.cfg.dataPartition = partition;
+                        c.cfg.classStrict = classStrict;
+                        cases.push_back(c);
+                    }
+                }
+            }
+        }
     }
+    uint64_t mispredictions = 0;
     for (const Case &c : cases) {
+        const SimContext &ctx = *c.ctx;
         EventTrace solo;
         SimResult ref = runReplay(ctx, c.cfg, &solo);
 
@@ -150,14 +195,39 @@ TEST(ServerSim, OneClientMatchesSoloReplayExactly)
         ServerResult sr =
             runObserved({{&ctx, c.cfg, 1.0, "only"}}, opts, sinks);
 
-        std::string what = cat(c.name, " mode=",
-                               static_cast<int>(c.cfg.mode));
+        std::string what =
+            cat(c.name, " mode=", static_cast<int>(c.cfg.mode), " ord=",
+                orderingName(c.cfg.ordering), " part=",
+                c.cfg.dataPartition, " classStrict=", c.cfg.classStrict);
         ASSERT_EQ(sr.clients.size(), 1u);
         expectSameResult(sr.clients[0].sim, ref, what);
         EXPECT_EQ(sr.clients[0].arrival, 0u) << what;
         EXPECT_EQ(sr.clients[0].finished, ref.totalCycles) << what;
         EXPECT_EQ(sr.makespan, ref.totalCycles) << what;
         expectSameEvents(*sinks[0], solo, what);
+        mispredictions += ref.mispredictions;
+    }
+    EXPECT_GT(mispredictions, 0u);
+
+    // A link no run can use is rejected, solo and served alike, in
+    // every mode.
+    const SimContext &ctx = zipperCtx();
+    for (const LinkModel &bad : badLinks()) {
+        for (SimConfig::Mode mode :
+             {SimConfig::Mode::Strict, SimConfig::Mode::Parallel,
+              SimConfig::Mode::Interleaved}) {
+            SimConfig cfg = baseConfig(mode, bad);
+            std::string what =
+                cat(bad.name, " mode=", static_cast<int>(mode));
+            EXPECT_THROW(runReplay(ctx, cfg), FatalError) << what;
+            EXPECT_THROW(runLiveReference(ctx, cfg), FatalError) << what;
+            ServerOptions opts;
+            opts.uplinkBytesPerCycle = linkRate(kT1Link);
+            opts.allocator = &equal;
+            EXPECT_THROW(runServer({{&ctx, cfg, 1.0, "bad"}}, opts),
+                         FatalError)
+                << what;
+        }
     }
 }
 
