@@ -18,7 +18,11 @@
  *                    (workloads/synthetic.h) that isolates dispatch
  *                    from native/invoke overhead — the stable number
  *                    the declared floor check asserts on (threaded
- *                    must stay >= 5x classic);
+ *                    must stay >= 5x classic). The modes are timed in
+ *                    interleaved rounds and each speedup is the
+ *                    median of the per-round ratios, so a slow patch
+ *                    of a shared machine slows both sides of a ratio
+ *                    instead of one;
  *   replay           the batched trace-replay integrator vs the exact
  *                    per-event path (forced by attaching a null event
  *                    sink), with a field-for-field SimResult equality
@@ -32,8 +36,10 @@
  * the threaded-dispatch floor and replay equality.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <vector>
 
 #include "bench/bench_env.h"
 #include "sim/replay.h"
@@ -92,6 +98,16 @@ bestNs(Fn &&fn)
         ++reps;
     }
     return best;
+}
+
+/** Rounds of the interleaved synthetic-loop measurement. */
+constexpr int kSyntheticRounds = 21;
+
+double
+median(std::vector<double> v)
+{
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
 }
 
 bool
@@ -172,27 +188,43 @@ runExtVm(BenchEnv &env, std::ostream &os)
         syn_in.push_back(static_cast<int64_t>(i * 2654435761ull % 1000));
     DecodedCache syn_dc(syn);
 
-    uint64_t syn_bc = 0;
-    auto syn_ns = [&](DispatchMode mode, const DecodedCache *dc) {
-        return bestNs([&] {
-            interpretOnce(syn, syn_nat, syn_in, mode, dc, &syn_bc);
-        });
+    // Each round runs every mode once, starting with a different one
+    // each round, so no mode always runs first.
+    const DispatchMode modes[] = {DispatchMode::Classic,
+                                  DispatchMode::Switch,
+                                  DispatchMode::Threaded};
+    auto syn_ns = [&](DispatchMode mode) {
+        return interpretOnce(syn, syn_nat, syn_in, mode,
+                             mode == DispatchMode::Classic ? nullptr
+                                                           : &syn_dc,
+                             nullptr);
     };
-    double syn_thr = syn_ns(DispatchMode::Threaded, &syn_dc);
-    double syn_sw = syn_ns(DispatchMode::Switch, &syn_dc);
-    double syn_cl = syn_ns(DispatchMode::Classic, nullptr);
-    double per_bc = static_cast<double>(syn_bc);
+    for (DispatchMode mode : modes)
+        syn_ns(mode); // warm-up
+    std::vector<double> ns[3], thr_ratio, sw_ratio;
+    for (int r = 0; r < kSyntheticRounds; ++r) {
+        double t[3];
+        for (int k = 0; k < 3; ++k) {
+            int m = (r + k) % 3;
+            t[m] = syn_ns(modes[m]);
+            ns[m].push_back(t[m]);
+        }
+        sw_ratio.push_back(t[0] / t[1]);
+        thr_ratio.push_back(t[0] / t[2]);
+    }
+    double syn_thr_speedup = median(thr_ratio);
+    double syn_sw_speedup = median(sw_ratio);
 
     Table synth({"Mode", "ns/bc", "Speedup vs classic"});
-    synth.addRow({"Classic", fmtF(syn_cl / per_bc, 2), fmtF(1.0, 2)});
-    synth.addRow({"Switch", fmtF(syn_sw / per_bc, 2),
-                  fmtF(syn_cl / syn_sw, 2)});
-    synth.addRow({"Threaded", fmtF(syn_thr / per_bc, 2),
-                  fmtF(syn_cl / syn_thr, 2)});
+    synth.addRow({"Classic", fmtF(median(ns[0]), 2), fmtF(1.0, 2)});
+    synth.addRow({"Switch", fmtF(median(ns[1]), 2),
+                  fmtF(syn_sw_speedup, 2)});
+    synth.addRow({"Threaded", fmtF(median(ns[2]), 2),
+                  fmtF(syn_thr_speedup, 2)});
     os << synth.render() << "\n";
     json.addTable("synthetic dispatch", synth);
-    json.setMetric("synthetic_threaded_speedup", syn_cl / syn_thr);
-    json.setMetric("synthetic_switch_speedup", syn_cl / syn_sw);
+    json.setMetric("synthetic_threaded_speedup", syn_thr_speedup);
+    json.setMetric("synthetic_switch_speedup", syn_sw_speedup);
 
     // ---- Replay: batched quiet-window integrator vs per-event. ------
     SimConfig cfg = headlineConfig();

@@ -15,7 +15,7 @@
  *
  * The core is a batched event-driven loop over piecewise-constant
  * per-client rates — the N-client generalization of the engine's own
- * nextEventAfter machinery. Between any two global events every
+ * nextEventTime machinery. Between any two global events every
  * client's rate is exactly constant, so each client's engine
  * integrates its own streams exactly as a solo run would. Events
  * (client arrivals, first-use waits, unblocks, engines' internal

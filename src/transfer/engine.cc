@@ -28,6 +28,10 @@ completionAt(uint64_t t, double cycles)
     return t > UINT64_MAX - c ? UINT64_MAX : t + c;
 }
 
+/** Consecutive stepping-loop iterations that change nothing before
+ *  the engine declares itself stuck. */
+constexpr uint64_t kMaxStalledSteps = 64;
+
 } // namespace
 
 TransferEngine::TransferEngine(double cycles_per_byte, int max_concurrent)
@@ -40,6 +44,11 @@ TransferEngine::TransferEngine(double cycles_per_byte, int max_concurrent,
       plan_(std::move(plan))
 {
     NSE_CHECK(cycles_per_byte > 0, "non-positive link cost");
+    const std::vector<RateSegment> &segs = plan_.trace.segments();
+    if (!segs.empty()) {
+        traceMult_ = segs[0].multiplier;
+        traceNext_ = segs.size() > 1 ? segs[1].startCycle : UINT64_MAX;
+    }
 }
 
 void
@@ -98,15 +107,6 @@ TransferEngine::stream(int idx) const
     return streams_[static_cast<size_t>(idx)];
 }
 
-bool
-TransferEngine::allDone() const
-{
-    for (const Stream &s : streams_)
-        if (s.state != StreamState::Done)
-            return false;
-    return true;
-}
-
 double
 TransferEngine::perStreamRate() const
 {
@@ -114,7 +114,7 @@ TransferEngine::perStreamRate() const
         return 0.0;
     // extRate_ defaults to 1.0; multiplying by it exactly is a no-op,
     // so an unthrottled engine is bit-identical to the pre-server one.
-    return plan_.trace.multiplierAt(time_) * extRate_ /
+    return traceMult_ * extRate_ /
            (cyclesPerByte_ * static_cast<double>(active_));
 }
 
@@ -130,7 +130,7 @@ TransferEngine::nextStepToward(int stream, uint64_t offset) const
 {
     auto si = static_cast<size_t>(stream);
     NSE_ASSERT(si < streams_.size(), "bad stream id ", stream);
-    uint64_t ev = nextEventAfter(time_);
+    uint64_t ev = nextEvent();
     const Stream &s = streams_[si];
     double rate = perStreamRate();
     if (s.state == StreamState::Active && rate > 0.0) {
@@ -178,19 +178,28 @@ TransferEngine::slotFree() const
 }
 
 void
+TransferEngine::crossWatch(size_t idx, uint64_t cycle, uint64_t offset)
+{
+    watchCrossed_[idx] = cycle;
+    --watchesPending_;
+    emit(ObsKind::WatchCross, cycle, static_cast<int>(idx), offset);
+}
+
+void
 TransferEngine::markActive(size_t idx, uint64_t now)
 {
     Stream &s = streams_[idx];
     s.state = StreamState::Active;
     s.startedAt = now;
     ++active_;
+    inflight_.insert(
+        std::lower_bound(inflight_.begin(), inflight_.end(), idx), idx);
     emit(ObsKind::StreamStart, now, static_cast<int>(idx),
          static_cast<uint64_t>(s.arrivedBytes));
     // An empty needed prefix arrives the moment the stream starts.
     if (watchSet_[idx] && watchOffset_[idx] <= 0.0 &&
         watchCrossed_[idx] == UINT64_MAX) {
-        watchCrossed_[idx] = now;
-        emit(ObsKind::WatchCross, now, static_cast<int>(idx), 0);
+        crossWatch(idx, now, 0);
     }
 }
 
@@ -225,8 +234,9 @@ TransferEngine::stopBytes(size_t idx) const
 }
 
 uint64_t
-TransferEngine::nextEventAfter(uint64_t t) const
+TransferEngine::nextEvent() const
 {
+    const uint64_t t = time_;
     uint64_t next = UINT64_MAX;
     if (pendingStarts_ > 0) {
         if (nextStart_ > t) {
@@ -247,7 +257,7 @@ TransferEngine::nextEventAfter(uint64_t t) const
     }
     if (active_ > 0 || suspended_ > 0) {
         double rate = perStreamRate();
-        for (size_t i = 0; i < streams_.size(); ++i) {
+        for (size_t i : inflight_) {
             const Stream &s = streams_[i];
             if (s.state == StreamState::Active && rate > 0.0) {
                 // The next stop for this stream: completion, or
@@ -269,7 +279,7 @@ TransferEngine::nextEventAfter(uint64_t t) const
         }
     }
     if (active_ > 0)
-        next = std::min(next, plan_.trace.nextChangeAfter(t));
+        next = std::min(next, traceNext_);
     return next;
 }
 
@@ -284,12 +294,9 @@ TransferEngine::progressTo(uint64_t t)
     // crosses one inside [time_, t).
     double rate = perStreamRate();
     double delta = static_cast<double>(t - time_) * rate;
-    if ((active_ > 0 &&
-         plan_.trace.multiplierAt(time_) * extRate_ < 1.0) ||
-        suspended_ > 0) {
+    if ((active_ > 0 && traceMult_ * extRate_ < 1.0) || suspended_ > 0)
         degradedCycles_ += t - time_;
-    }
-    for (size_t i = 0; active_ > 0 && i < streams_.size(); ++i) {
+    for (size_t i : inflight_) {
         Stream &s = streams_[i];
         if (s.state != StreamState::Active)
             continue;
@@ -301,17 +308,25 @@ TransferEngine::progressTo(uint64_t t)
             // rate can be 0 here only when the offset was already
             // within kEps at segment entry; the crossing is "now".
             double need = watchOffset_[i] - before;
-            watchCrossed_[i] =
-                rate > 0.0
-                    ? time_ + static_cast<uint64_t>(std::ceil(
-                                  std::max(0.0, need) / rate))
-                    : time_;
-            emit(ObsKind::WatchCross, watchCrossed_[i],
-                 static_cast<int>(i),
-                 static_cast<uint64_t>(watchOffset_[i]));
+            crossWatch(i,
+                       rate > 0.0
+                           ? time_ + static_cast<uint64_t>(std::ceil(
+                                         std::max(0.0, need) / rate))
+                           : time_,
+                       static_cast<uint64_t>(watchOffset_[i]));
         }
     }
     time_ = t;
+    // Move the trace cursor to the segment in effect at the new time.
+    // Time never moves backwards, so the walk is amortized O(1).
+    const std::vector<RateSegment> &segs = plan_.trace.segments();
+    while (traceNext_ <= time_) {
+        ++traceSeg_;
+        traceMult_ = segs[traceSeg_].multiplier;
+        traceNext_ = traceSeg_ + 1 < segs.size()
+                         ? segs[traceSeg_ + 1].startCycle
+                         : UINT64_MAX;
+    }
 }
 
 void
@@ -329,17 +344,33 @@ TransferEngine::recomputeNextStart()
 }
 
 void
+TransferEngine::planStart(size_t idx, uint64_t cycle)
+{
+    uint64_t &planned = streams_[idx].scheduledStart;
+    uint64_t old = planned;
+    planned = cycle;
+    pendingStarts_ += cycle != UINT64_MAX;
+    pendingStarts_ -= old != UINT64_MAX;
+    // Only withdrawing (or deferring) the current minimum needs a scan.
+    if (cycle < nextStart_)
+        nextStart_ = cycle;
+    else if (old == nextStart_ && old != cycle)
+        recomputeNextStart();
+}
+
+void
 TransferEngine::processEventsAt(uint64_t t)
 {
     // Each pass below is gated on a counter saying it can fire at
-    // all; a skipped pass would have scanned every stream and found
-    // nothing. Pass order (completions, drops, retries, starts,
+    // all, and the completion, drop and retry passes walk only the
+    // in-flight list. Pass order (completions, drops, retries, starts,
     // queue) is load-bearing: completions free slots before starts
     // claim them.
     if (active_ > 0) {
         // Completions first: they free slots for queued/scheduled
         // streams.
-        for (size_t i = 0; i < streams_.size(); ++i) {
+        size_t kept = 0;
+        for (size_t i : inflight_) {
             Stream &s = streams_[i];
             if (s.state == StreamState::Active &&
                 s.arrivedBytes >= s.totalBytes - kEps) {
@@ -348,17 +379,21 @@ TransferEngine::processEventsAt(uint64_t t)
                 s.finishedAt = t;
                 NSE_ASSERT(active_ > 0, "active count underflow");
                 --active_;
+                ++done_;
                 emit(ObsKind::StreamComplete, t, static_cast<int>(i),
                      static_cast<uint64_t>(s.totalBytes));
+            } else {
+                inflight_[kept++] = i;
             }
         }
+        inflight_.resize(kept);
     }
     if (active_ > 0 && dropsPending_ > 0) {
         // Drops: a stream whose cursor reached its next drop offset
         // loses its connection and retries with exponential backoff;
         // it resumes from the drop offset (bytes already arrived are
         // kept).
-        for (size_t i = 0; i < streams_.size(); ++i) {
+        for (size_t i : inflight_) {
             Stream &s = streams_[i];
             if (s.state != StreamState::Active ||
                 nextDrop_[i] >= drops_[i].size()) {
@@ -382,7 +417,7 @@ TransferEngine::processEventsAt(uint64_t t)
     }
     if (suspended_ > 0) {
         // Retries that succeeded by now resume transferring.
-        for (size_t i = 0; i < streams_.size(); ++i) {
+        for (size_t i : inflight_) {
             Stream &s = streams_[i];
             if (s.state == StreamState::Suspended &&
                 resumeAt_[i] <= t) {
@@ -421,27 +456,52 @@ TransferEngine::processEventsAt(uint64_t t)
     }
 }
 
+TransferEngine::Progress
+TransferEngine::progressMark() const
+{
+    return {time_,      done_,         active_,
+            suspended_, queue_.size(), pendingStarts_};
+}
+
+void
+TransferEngine::step(uint64_t t, const char *loop)
+{
+    Progress before = progressMark();
+    progressTo(t);
+    processEventsAt(t);
+    ++steps_;
+    if (progressMark() != before) {
+        stalledSteps_ = 0;
+        return;
+    }
+    // Unreachable while nextEvent() only returns cycles after the
+    // clock; a regression there would otherwise spin forever.
+    if (++stalledSteps_ >= kMaxStalledSteps) {
+        panic(loop, ": transfer engine made no progress in ",
+              kMaxStalledSteps, " steps (time ", time_, ", active ",
+              active_, ", suspended ", suspended_, ", queued ",
+              queue_.size(), ", pending starts ", pendingStarts_,
+              ", next start ", nextStart_, ", done ", done_, " of ",
+              streams_.size(), ")");
+    }
+}
+
 void
 TransferEngine::advanceTo(uint64_t cycle)
 {
     NSE_CHECK(cycle >= time_, "advanceTo into the past");
     processEventsAt(time_);
-    while (time_ < cycle) {
-        uint64_t ev = nextEventAfter(time_);
-        uint64_t step = std::min(ev, cycle);
-        progressTo(step);
-        processEventsAt(step);
-    }
+    while (time_ < cycle)
+        step(std::min(nextEvent(), cycle), "advanceTo");
 }
 
 void
 TransferEngine::scheduleStart(int stream, uint64_t cycle)
 {
-    Stream &s = streams_[static_cast<size_t>(stream)];
-    NSE_CHECK(s.state == StreamState::Idle,
-              "scheduleStart on started stream ", s.name);
-    s.scheduledStart = cycle;
-    recomputeNextStart();
+    auto si = static_cast<size_t>(stream);
+    NSE_CHECK(streams_[si].state == StreamState::Idle,
+              "scheduleStart on started stream ", streams_[si].name);
+    planStart(si, cycle);
 }
 
 void
@@ -465,8 +525,7 @@ TransferEngine::demandStart(int stream, uint64_t now)
         return;
       }
       case StreamState::Idle:
-        s.scheduledStart = UINT64_MAX;
-        recomputeNextStart();
+        planStart(static_cast<size_t>(stream), UINT64_MAX);
         // Start at the engine clock, not the caller's: advanceTo
         // above may have moved time_ past `now`, and a stream must
         // never record startedAt in the engine's past.
@@ -478,22 +537,21 @@ TransferEngine::demandStart(int stream, uint64_t now)
 bool
 TransferEngine::reschedule(int stream, uint64_t cycle)
 {
-    Stream &s = streams_[static_cast<size_t>(stream)];
+    auto si = static_cast<size_t>(stream);
+    Stream &s = streams_[si];
     if (s.state != StreamState::Idle)
         return false; // bytes-already-sent invariant: never re-plan
     if (cycle <= time_) {
         // Promotion: behave like a planned start that is already due.
         // Queue at the *back* so demand fetches (the stream execution
         // is blocked on right now) keep absolute priority.
-        s.scheduledStart = UINT64_MAX;
-        recomputeNextStart();
+        planStart(si, UINT64_MAX);
         activateOrQueue(stream, time_, /*front=*/false);
         return true;
     }
     if (s.scheduledStart == cycle)
         return false;
-    s.scheduledStart = cycle;
-    recomputeNextStart();
+    planStart(si, cycle);
     return true;
 }
 
@@ -507,14 +565,14 @@ TransferEngine::waitFor(int stream, uint64_t offset, uint64_t now)
     auto target = static_cast<double>(offset);
 
     while (s.arrivedBytes + kEps < target) {
-        uint64_t ev = nextEventAfter(time_);
+        uint64_t ev = nextEvent();
         double rate = perStreamRate();
         if (s.state == StreamState::Active && rate > 0.0) {
             // Crossing estimate at the current rate, valid up to the
-            // next event (nextEventAfter caps it at trace boundaries
-            // and this stream's own drop offsets). During a full
-            // outage (rate 0) there is no crossing to estimate; the
-            // trace's next change point is already in `ev`.
+            // next event (nextEvent caps it at trace boundaries and
+            // this stream's own drop offsets). During a full outage
+            // (rate 0) there is no crossing to estimate; the trace's
+            // next change point is already in `ev`.
             double remaining =
                 std::min(target, stopBytes(static_cast<size_t>(
                                      stream))) -
@@ -529,8 +587,7 @@ TransferEngine::waitFor(int stream, uint64_t offset, uint64_t now)
                   "nothing scheduled, or the link is in a permanent "
                   "zero-bandwidth outage)");
         }
-        progressTo(ev);
-        processEventsAt(ev);
+        step(ev, "waitFor");
     }
     return std::max(now, time_);
 }
@@ -540,38 +597,31 @@ TransferEngine::setWatch(int stream, uint64_t offset)
 {
     auto si = static_cast<size_t>(stream);
     NSE_ASSERT(si < streams_.size(), "bad stream id ", stream);
+    if (watchSet_[si] && watchCrossed_[si] == UINT64_MAX)
+        --watchesPending_;
     watchSet_[si] = 1;
     watchOffset_[si] = static_cast<double>(offset);
+    watchCrossed_[si] = UINT64_MAX;
+    ++watchesPending_;
     const Stream &s = streams_[si];
     bool started = s.state != StreamState::Idle &&
                    s.state != StreamState::Queued;
     if (started && s.arrivedBytes + kEps >= static_cast<double>(offset)) {
         // Already crossed (a zero-byte prefix counts as crossed the
         // moment the stream starts).
-        watchCrossed_[si] = time_;
-        emit(ObsKind::WatchCross, time_, stream, offset);
-    } else {
-        watchCrossed_[si] = UINT64_MAX;
+        crossWatch(si, time_, offset);
     }
 }
 
 void
 TransferEngine::runWatches()
 {
-    auto pending = [&] {
-        for (size_t i = 0; i < streams_.size(); ++i) {
-            if (watchSet_[i] && watchCrossed_[i] == UINT64_MAX)
-                return true;
-        }
-        return false;
-    };
     processEventsAt(time_);
-    while (pending()) {
-        uint64_t ev = nextEventAfter(time_);
+    while (watchesPending_ > 0) {
+        uint64_t ev = nextEvent();
         if (ev == UINT64_MAX)
             fatal("runWatches: a watched stream will never transfer");
-        progressTo(ev);
-        processEventsAt(ev);
+        step(ev, "runWatches");
     }
 }
 
@@ -588,11 +638,10 @@ TransferEngine::finishAll()
 {
     processEventsAt(time_);
     while (!allDone()) {
-        uint64_t ev = nextEventAfter(time_);
+        uint64_t ev = nextEvent();
         if (ev == UINT64_MAX)
             fatal("finishAll with streams that will never start");
-        progressTo(ev);
-        processEventsAt(ev);
+        step(ev, "finishAll");
     }
     return time_;
 }

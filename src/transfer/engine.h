@@ -134,7 +134,7 @@ class TransferEngine
     const Stream &stream(int idx) const;
     uint64_t time() const { return time_; }
     size_t activeCount() const { return active_; }
-    bool allDone() const;
+    bool allDone() const { return done_ == streams_.size(); }
 
     /**
      * Externally imposed rate multiplier, composed multiplicatively
@@ -160,7 +160,7 @@ class TransferEngine
      * server simulation uses it to bound global steps so allocation
      * changes never land inside an integration segment.
      */
-    uint64_t nextEventTime() const { return nextEventAfter(time_); }
+    uint64_t nextEventTime() const { return nextEvent(); }
 
     /**
      * The exact step bound waitFor would take toward `offset` bytes
@@ -198,6 +198,14 @@ class TransferEngine
     uint64_t degradedCycles() const { return degradedCycles_; }
 
     /**
+     * Deterministic work counter: integration steps taken so far, one
+     * per progress-then-process iteration of advanceTo, waitFor,
+     * runWatches and finishAll. It measures how many steps a run
+     * takes, independent of what each step costs.
+     */
+    uint64_t steps() const { return steps_; }
+
+    /**
      * Attach an event sink (obs/event.h); null detaches. Streams
      * already registered are announced immediately, then every
      * lifecycle edge (start, queue, drop, resume, complete) and watch
@@ -209,14 +217,38 @@ class TransferEngine
   private:
     static constexpr double kEps = 1e-6;
 
+    /** What a stepping-loop iteration can change: the clock, or a
+     *  stream's lifecycle state (every drop, retry, watch crossing and
+     *  start moves one of these counts). */
+    struct Progress
+    {
+        uint64_t time;
+        size_t done, active, suspended, queued, pendingStarts;
+        bool operator==(const Progress &) const = default;
+    };
+
     double perStreamRate() const;
-    uint64_t nextEventAfter(uint64_t t) const;
+    /** The next internal event strictly after time_ (nextEventTime). */
+    uint64_t nextEvent() const;
     void progressTo(uint64_t t);
     void processEventsAt(uint64_t t);
+    /**
+     * One integration step of a stepping loop: progressTo(t), then
+     * processEventsAt(t). Counts it in steps_, and panics with a state
+     * dump once `loop` has gone kMaxStalledSteps iterations without
+     * moving the clock or any other Progress field.
+     */
+    void step(uint64_t t, const char *loop);
+    Progress progressMark() const;
     /** Rebuild the pending-start index (count + exact next cycle). */
     void recomputeNextStart();
+    /** Set an idle stream's planned start (UINT64_MAX = none),
+     *  keeping the pending-start index exact. */
+    void planStart(size_t idx, uint64_t cycle);
     void activateOrQueue(int stream, uint64_t now, bool front);
     void markActive(size_t idx, uint64_t now);
+    /** Record the stream's watch as crossed at `cycle`. */
+    void crossWatch(size_t idx, uint64_t cycle, uint64_t offset);
     /** Byte cursor cap for a stream: its end, or its next pending
      *  drop offset (transfer pauses there until the retry succeeds). */
     double stopBytes(size_t idx) const;
@@ -235,24 +267,47 @@ class TransferEngine
     size_t suspended_ = 0;
     uint64_t retryCount_ = 0;
     uint64_t degradedCycles_ = 0;
+    uint64_t steps_ = 0;
+    /** Consecutive stepping-loop iterations that changed nothing. */
+    uint64_t stalledSteps_ = 0;
     std::vector<Stream> streams_;
     std::deque<int> queue_;
     /**
      * Event-loop fast-path index. The integrator's hot path
      * (advanceTo / waitFor, once or more per replayed first-use)
-     * scans every stream in each of its bookkeeping passes; these
-     * counters let the passes that cannot fire exit before touching
-     * any stream. They are pure control flow — when a pass does run
-     * it performs exactly the arithmetic it always did, so results
-     * stay bit-identical. `nextStart_` is kept *exact* (recomputed
-     * whenever the scheduled-start set changes) because it bounds
-     * integration steps: an approximate bound would split
-     * constant-rate segments at different points and perturb float
-     * rounding.
+     * takes one step per event; these counters let the bookkeeping
+     * passes that cannot fire exit before touching any stream. They
+     * are pure control flow — when a pass does run it performs
+     * exactly the arithmetic it always did, so results stay
+     * bit-identical. `nextStart_` is kept *exact* (updated whenever
+     * the scheduled-start set changes) because it bounds integration
+     * steps: an approximate bound would split constant-rate segments
+     * at different points and perturb float rounding.
      */
     size_t pendingStarts_ = 0;
     uint64_t nextStart_ = UINT64_MAX;
     uint64_t dropsPending_ = 0;
+    size_t done_ = 0;
+    /** Set watches not yet crossed. */
+    size_t watchesPending_ = 0;
+    /**
+     * The in-flight list: ids of the Active and Suspended streams,
+     * sorted by index. progressTo, nextEvent and the completion, drop
+     * and retry passes walk only this list, so a step costs
+     * O(in flight) rather than O(streams). Index order is the order a
+     * scan over every stream visits, so events are emitted, and
+     * per-stream floating-point updates applied, in that same order.
+     */
+    std::vector<size_t> inflight_;
+    /**
+     * Monotone cursor over plan_.trace: the segment in effect at
+     * time_, its multiplier and the next change point (UINT64_MAX =
+     * none). progressTo advances it; engine time never moves
+     * backwards, so no step searches the trace.
+     */
+    size_t traceSeg_ = 0;
+    double traceMult_ = 1.0;
+    uint64_t traceNext_ = UINT64_MAX;
     /** Per-stream pending drop events and the next one's index. */
     std::vector<std::vector<DropEvent>> drops_;
     std::vector<size_t> nextDrop_;

@@ -17,8 +17,10 @@ BandwidthTrace::BandwidthTrace(std::vector<RateSegment> segments)
     NSE_CHECK(segments_.front().startCycle == 0,
               "first trace segment must start at cycle 0");
     for (size_t i = 0; i < segments_.size(); ++i) {
-        NSE_CHECK(segments_[i].multiplier >= 0,
-                  "trace multiplier must be non-negative");
+        NSE_CHECK(std::isfinite(segments_[i].multiplier) &&
+                      segments_[i].multiplier >= 0,
+                  "trace multiplier must be finite and non-negative, "
+                  "got ", segments_[i].multiplier);
         if (i > 0) {
             NSE_CHECK(segments_[i - 1].startCycle <
                           segments_[i].startCycle,
@@ -62,8 +64,10 @@ BandwidthTrace::bursts(uint64_t seed, uint64_t meanWindowCycles,
                        double degradedMultiplier, uint64_t horizonCycles)
 {
     NSE_CHECK(meanWindowCycles > 0, "burst window must be positive");
-    NSE_CHECK(degradedMultiplier >= 0, "degraded multiplier must be "
-                                       "non-negative");
+    NSE_CHECK(std::isfinite(degradedMultiplier) &&
+                  degradedMultiplier >= 0,
+              "degraded multiplier must be finite and non-negative, "
+              "got ", degradedMultiplier);
     Rng rng(seed ^ 0x6c1b8e5a2f9d3c47ULL);
     std::vector<RateSegment> segs;
     uint64_t t = 0;

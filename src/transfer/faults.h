@@ -58,7 +58,7 @@ class BandwidthTrace
     BandwidthTrace() = default;
 
     /** Segments must be sorted by startCycle, first at cycle 0,
-     *  multipliers >= 0 (0 = full outage). */
+     *  multipliers finite and >= 0 (0 = full outage). */
     explicit BandwidthTrace(std::vector<RateSegment> segments);
 
     /** Bandwidth multiplier in effect at `cycle`. */

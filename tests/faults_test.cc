@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "support/error.h"
 #include "transfer/engine.h"
 #include "transfer/faults.h"
@@ -61,6 +63,21 @@ TEST(Trace, ValidationRejectsBadSegments)
                  FatalError); // negative multiplier
     EXPECT_THROW(BandwidthTrace({{0, 1.0}, {10, 0.5}, {10, 1.0}}),
                  FatalError); // not strictly sorted
+}
+
+TEST(Trace, ValidationRejectsNonFiniteMultipliers)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double bad : {inf, -inf, nan}) {
+        EXPECT_THROW(BandwidthTrace({{0, bad}}), FatalError) << bad;
+        EXPECT_THROW(BandwidthTrace({{0, 1.0}, {10, bad}}), FatalError)
+            << bad;
+        EXPECT_THROW(BandwidthTrace::step(10, bad), FatalError) << bad;
+        EXPECT_THROW(BandwidthTrace::bursts(7, 10'000, bad, 100'000),
+                     FatalError)
+            << bad;
+    }
 }
 
 TEST(Trace, ZeroMultiplierIsLegalOutage)

@@ -232,5 +232,42 @@ TEST(Replay, TraceIsConfigInvariant)
     EXPECT_EQ(trace.events.size(), ctx.testProfile().methods.size());
 }
 
+TEST(Replay, EngineStepsArePinned)
+{
+    // Work counter: the summed TransferEngine::steps() of a fixed
+    // replay grid — six programs x limit {1, unlimited} x {nominal,
+    // faulty with runahead 16} x {T1, modem}, each replayed through
+    // the per-event OverlappedRun path. Engine rewrites that cut the
+    // cost of a step must not change how many steps a run takes.
+    uint64_t steps = 0;
+    for (const Workload &wl : allWorkloads()) {
+        SimContext ctx(wl.program, wl.natives, wl.trainInput,
+                       wl.testInput);
+        for (const LinkModel &link : {kT1Link, kModemLink}) {
+            for (int limit : {1, -1}) {
+                for (bool faulty : {false, true}) {
+                    SimConfig cfg;
+                    cfg.mode = SimConfig::Mode::Parallel;
+                    cfg.link = link;
+                    cfg.parallelLimit = limit;
+                    if (faulty) {
+                        cfg.faults = faultyPlan();
+                        cfg.runaheadDepth = 16;
+                    }
+                    OverlappedRun run(ctx, cfg);
+                    size_t idx = 0;
+                    uint64_t end = replayTrace(
+                        ctx.trace(), [&](MethodId id, uint64_t clock) {
+                            return run.wait(idx++, id, clock);
+                        });
+                    run.finish(end, ctx.trace().totals);
+                    steps += run.engine().steps();
+                }
+            }
+        }
+    }
+    EXPECT_EQ(steps, 25879u);
+}
+
 } // namespace
 } // namespace nse

@@ -2,12 +2,18 @@
  * @file
  * Transfer-engine tests: exact single-stream timing, equal bandwidth
  * sharing, concurrency limits and queueing, demand fetches, waitFor
- * semantics, and the watch machinery the scheduler uses.
+ * semantics, the watch machinery the scheduler uses, and a seeded
+ * behaviour digest over the whole public surface.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "obs/event.h"
 #include "support/error.h"
+#include "support/fnv1a.h"
+#include "support/rng.h"
 #include "transfer/engine.h"
 #include "transfer/link.h"
 
@@ -314,6 +320,212 @@ TEST(Engine, PaperLinkRatesAreExact)
     int b = modem.addStream("b", 1);
     modem.scheduleStart(b, 0);
     EXPECT_EQ(modem.waitFor(b, 1, 0), 134'698u);
+}
+
+// ------------------------------------------------------ behaviour digest
+
+/** Folds every announced stream and recorded event into one digest. */
+class DigestSink : public EventSink
+{
+  public:
+    explicit DigestSink(Fnv1a &h) : h_(h) {}
+
+    void
+    record(const ObsEvent &ev) override
+    {
+        h_.u64(ev.cycle);
+        h_.u64(static_cast<uint64_t>(ev.kind));
+        h_.u64(static_cast<uint64_t>(static_cast<int64_t>(ev.stream)));
+        h_.u64(ev.a);
+        h_.u64(ev.b);
+    }
+
+    void
+    noteStream(int stream, const std::string &name,
+               uint64_t totalBytes) override
+    {
+        h_.u64(static_cast<uint64_t>(stream));
+        h_.str(name);
+        h_.u64(totalBytes);
+    }
+
+  private:
+    Fnv1a &h_;
+};
+
+void
+foldDouble(Fnv1a &h, double d)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof bits);
+    h.u64(bits);
+}
+
+enum class SweepLink
+{
+    Nominal,
+    Bursts,
+    Drops,
+    Outages,
+};
+
+FaultPlan
+sweepPlan(SweepLink link, uint64_t seed)
+{
+    FaultPlan plan;
+    switch (link) {
+      case SweepLink::Nominal:
+        break;
+      case SweepLink::Bursts:
+        plan.trace = BandwidthTrace::bursts(seed, 20'000, 0.4, 3'000'000);
+        break;
+      case SweepLink::Drops:
+        plan.dropSeed = seed;
+        plan.dropsPerMByte = 150.0;
+        plan.maxAttempts = 3;
+        plan.retryTimeoutCycles = 30'000;
+        break;
+      case SweepLink::Outages: {
+        // Full outages alternating with partial and nominal windows;
+        // the last segment is nominal, so every transfer can finish.
+        Rng rng(seed);
+        std::vector<RateSegment> segs{{0, 1.0}};
+        uint64_t t = 0;
+        const double mults[] = {0.0, 0.5, 0.0, 1.0};
+        for (int k = 0; k < 12; ++k) {
+            t += 5'000 + rng.below(60'000);
+            segs.push_back({t, mults[k % 4]});
+        }
+        segs.push_back({t + 1 + rng.below(40'000), 1.0});
+        plan.trace = BandwidthTrace(std::move(segs));
+        break;
+      }
+    }
+    return plan;
+}
+
+/**
+ * One seeded engine session: random streams, planned and unplanned,
+ * driven through interleaved scheduleStart, demandStart, reschedule,
+ * setWatch, setExternalRate, advanceTo, waitFor, runWatches and the
+ * pure queries, then finishAll. Folds the full event stream, every
+ * query answer, every Stream field and every watch crossing.
+ */
+void
+digestSession(Fnv1a &h, int limit, SweepLink link, uint64_t seed)
+{
+    Rng rng(seed * 0x2545f4914f6cdd1dULL + static_cast<uint64_t>(limit));
+    DigestSink sink(h);
+    TransferEngine e(kCpb, limit, sweepPlan(link, seed));
+    e.setSink(&sink);
+    const int n = 4 + static_cast<int>(rng.below(10));
+    for (int i = 0; i < n; ++i) {
+        int s = e.addStream(cat("s", i), 1 + rng.below(4'000));
+        if (rng.below(4) != 0)
+            e.scheduleStart(s, rng.below(300'000));
+    }
+    auto pick = [&] { return static_cast<int>(rng.below(
+                          static_cast<uint64_t>(n))); };
+    // A stream whose bytes can still move: started, or planned.
+    auto startable = [&](int s) {
+        const Stream &st = e.stream(s);
+        return st.state != StreamState::Idle ||
+               st.scheduledStart != UINT64_MAX;
+    };
+    std::vector<uint8_t> watched(static_cast<size_t>(n), 0);
+    for (int op = 0; op < 80; ++op) {
+        int s = pick();
+        const Stream &st = e.stream(s);
+        auto total = static_cast<uint64_t>(st.totalBytes);
+        switch (rng.below(10)) {
+          case 0:
+            e.advanceTo(e.time() + rng.below(40'000));
+            break;
+          case 1:
+            e.demandStart(s, e.time() - std::min<uint64_t>(
+                                            e.time(), rng.below(5'000)));
+            break;
+          case 2: {
+            // At or before the clock promotes; later defers.
+            uint64_t back = std::min<uint64_t>(e.time(), 10'000);
+            h.u64(e.reschedule(s, e.time() - back + rng.below(80'000)));
+            break;
+          }
+          case 3:
+            if (st.state == StreamState::Idle)
+                e.scheduleStart(s, e.time() + rng.below(50'000));
+            break;
+          case 4:
+            e.setWatch(s, rng.below(total + 1));
+            watched[static_cast<size_t>(s)] = 1;
+            break;
+          case 5: {
+            const double rates[] = {1.0, 0.5, 0.25, 2.0, 0.0};
+            e.setExternalRate(rates[rng.below(5)]);
+            break;
+          }
+          case 6:
+            if (startable(s) && e.externalRate() > 0.0)
+                h.u64(e.waitFor(s, rng.below(total + 1), e.time()));
+            break;
+          case 7: {
+            bool ok = e.externalRate() > 0.0;
+            for (int i = 0; i < n; ++i) {
+                if (watched[static_cast<size_t>(i)] && !startable(i))
+                    ok = false;
+            }
+            if (ok)
+                e.runWatches();
+            break;
+          }
+          default:
+            h.u64(e.nextEventTime());
+            h.u64(e.nextStepToward(s, rng.below(total + 1)));
+            h.u64(e.quietUntil());
+            h.u64(e.hasArrived(s, rng.below(total + 1)));
+            break;
+        }
+        h.u64(e.time());
+        h.u64(e.activeCount());
+    }
+    for (int i = 0; i < n; ++i) {
+        if (!startable(i))
+            e.demandStart(i, e.time());
+    }
+    if (e.externalRate() == 0.0)
+        e.setExternalRate(1.0);
+    h.u64(e.finishAll());
+    h.u64(e.allDone());
+    h.u64(e.retryCount());
+    h.u64(e.degradedCycles());
+    for (int i = 0; i < n; ++i) {
+        const Stream &st = e.stream(i);
+        h.str(st.name);
+        foldDouble(h, st.totalBytes);
+        foldDouble(h, st.arrivedBytes);
+        h.u64(static_cast<uint64_t>(st.state));
+        h.u64(st.scheduledStart);
+        h.u64(st.startedAt);
+        h.u64(st.finishedAt);
+        h.u64(e.watchedArrival(i));
+    }
+}
+
+TEST(Engine, SeededBehaviourDigestIsPinned)
+{
+    // Pins the engine's observable behaviour across limits {1, 2, 4,
+    // unlimited} x {nominal, bursts, seeded drops, zero-rate outages}
+    // x 16 seeds. Any change to an event, its cycle or order, a query
+    // answer, a Stream field or a watch crossing moves the digest.
+    Fnv1a h;
+    for (int limit : {1, 2, 4, -1}) {
+        for (SweepLink link : {SweepLink::Nominal, SweepLink::Bursts,
+                               SweepLink::Drops, SweepLink::Outages}) {
+            for (uint64_t seed = 1; seed <= 16; ++seed)
+                digestSession(h, limit, link, seed);
+        }
+    }
+    EXPECT_EQ(h.h, 0x36e1be110c74caa6ull);
 }
 
 } // namespace
