@@ -44,7 +44,6 @@ namespace
 {
 
 constexpr uint32_t kDepth = 16; ///< headline runahead window
-constexpr uint32_t kK = 4;      ///< headline max promotions per stall
 
 /** The degraded-link plan of the runahead tests: bursty bandwidth
  *  plus seeded drops with retry/backoff. */
@@ -112,7 +111,6 @@ runSolo(const SimContext &ctx, OrderingSource ord, bool faulty,
         cfg.faults = faultyPlan();
     cell.stat = runReplay(ctx, cfg, nullptr);
     cfg.runaheadDepth = depth;
-    cfg.runaheadK = kK;
     cell.run = runReplay(ctx, cfg, &cell.runTrace);
     return cell;
 }
@@ -148,7 +146,6 @@ makeFleet(const std::vector<BenchWorkload> &entries, size_t n,
         if (i % 3 == 0)
             spec.config.faults = faultyPlan();
         spec.config.runaheadDepth = depth;
-        spec.config.runaheadK = kK;
         spec.weight = 1.0;
         spec.name = cat(e.workload.name, "-", i);
         fleet.push_back(std::move(spec));
@@ -312,7 +309,6 @@ runExtRunahead(BenchEnv &env, std::ostream &os)
         EventTrace base;
         SimResult br = runReplay(*e.ctx, cfg, &base);
         cfg.runaheadDepth = 0;
-        cfg.runaheadK = 9; // k without depth must still be inert
         EventTrace zero;
         SimResult zr = runReplay(*e.ctx, cfg, &zero);
         diffs[i].mismatches = countMismatches(br, zr, base, zero);

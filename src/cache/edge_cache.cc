@@ -30,17 +30,17 @@ EdgeKey::hash() const
 EdgeKey
 edgeKeyOf(const SimContext &ctx, const SimConfig &cfg)
 {
+    NSE_CHECK(cfg.mode != SimConfig::Mode::Strict,
+              "a Strict configuration has no edge artifact");
     EdgeKey key;
     key.contentKey = ctx.contentKey();
     key.mode = cfg.mode;
     // Only knobs that change the served bytes (or their planned
-    // order) may reach the key: Strict serves the unrestructured
-    // program (no layout, no schedule); Interleaved's single file
-    // starts at cycle 0 (no schedule); Parallel's greedy schedule is
-    // keyed on the nominal link cost and concurrency limit exactly as
-    // the context's own ScheduleKey is.
-    if (cfg.mode != SimConfig::Mode::Strict)
-        key.layout = layoutKeyOf(cfg);
+    // order) may reach the key: Interleaved's single file starts at
+    // cycle 0 (no schedule); Parallel's greedy schedule is keyed on
+    // the nominal link cost and concurrency limit exactly as the
+    // context's own ScheduleKey is.
+    key.layout = layoutKeyOf(cfg);
     if (cfg.mode == SimConfig::Mode::Parallel) {
         key.cyclesPerByte = cfg.link.cyclesPerByte;
         key.parallelLimit = cfg.parallelLimit;
@@ -51,8 +51,6 @@ edgeKeyOf(const SimContext &ctx, const SimConfig &cfg)
 uint64_t
 artifactBytes(const SimContext &ctx, const SimConfig &cfg)
 {
-    if (cfg.mode == SimConfig::Mode::Strict)
-        return ctx.totalBytes();
     return ctx.layout(layoutKeyOf(cfg)).totalBytes;
 }
 
@@ -66,14 +64,7 @@ evictionPolicyName(EvictionPolicy p)
     return "unknown";
 }
 
-EdgeCache::EdgeCache(EdgeCacheOptions opts) : opts_(opts)
-{
-    NSE_CHECK(opts_.originCyclesPerByte > 0.0,
-              "edge cache origin uplink cost must be positive");
-    uplink_ = std::make_unique<TransferEngine>(
-        opts_.originCyclesPerByte, opts_.originConcurrency,
-        opts_.originFaults);
-}
+EdgeCache::EdgeCache(EdgeCacheOptions opts) : opts_(opts) {}
 
 void
 EdgeCache::emit(ObsKind kind, uint64_t cycle, uint64_t bytes,
@@ -129,9 +120,9 @@ EdgeCache::request(const SimContext &ctx, const SimConfig &cfg,
     Entry e;
     e.bytes = bytes;
     e.keyHash = key.hash();
-    e.fetch = uplink_->addStream(cat("origin-", e.keyHash), bytes);
+    e.fetch = uplink_.addStream(cat("origin-", e.keyHash), bytes);
     touch(e);
-    uplink_->demandStart(e.fetch, now);
+    uplink_.demandStart(e.fetch, now);
     inFlight_.emplace_back(e.fetch, key);
     emit(ObsKind::CacheMiss, now, bytes, e.keyHash, e.fetch);
     entries_[key] = e;
@@ -151,15 +142,15 @@ EdgeCache::prewarm(const SimContext &ctx, const SimConfig &cfg)
     e.bytes = artifactBytes(ctx, cfg);
     e.keyHash = key.hash();
     e.lastUse = ++useSeq_;
-    insertResident(key, e, uplink_->time());
+    insertResident(key, e, uplink_.time());
 }
 
 void
 EdgeCache::advanceTo(uint64_t now)
 {
-    if (now > uplink_->time())
-        uplink_->advanceTo(now);
-    settle(uplink_->time());
+    if (now > uplink_.time())
+        uplink_.advanceTo(now);
+    settle(uplink_.time());
 }
 
 void
@@ -177,7 +168,7 @@ EdgeCache::settle(uint64_t upTo)
     };
     std::vector<DoneFetch> done;
     for (size_t i = 0; i < inFlight_.size(); ++i) {
-        const Stream &s = uplink_->stream(inFlight_[i].first);
+        const Stream &s = uplink_.stream(inFlight_[i].first);
         if (s.state == StreamState::Done && s.finishedAt <= upTo)
             done.push_back({s.finishedAt, i});
     }
@@ -266,16 +257,16 @@ EdgeCache::evictUntilFits(uint64_t cycle)
 bool
 EdgeCache::fetchReady(int fetch) const
 {
-    const Stream &s = uplink_->stream(fetch);
-    return uplink_->hasArrived(fetch,
+    const Stream &s = uplink_.stream(fetch);
+    return uplink_.hasArrived(fetch,
                                static_cast<uint64_t>(s.totalBytes));
 }
 
 uint64_t
 EdgeCache::nextFetchStep(int fetch) const
 {
-    const Stream &s = uplink_->stream(fetch);
-    return uplink_->nextStepToward(fetch,
+    const Stream &s = uplink_.stream(fetch);
+    return uplink_.nextStepToward(fetch,
                                    static_cast<uint64_t>(s.totalBytes));
 }
 

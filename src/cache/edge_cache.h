@@ -23,18 +23,20 @@
  * different bytes, so clients differing only there share one entry.
  * Per-client-class ordering personalization therefore falls out for
  * free — a Train-ordered class and an Rta-ordered class of the same
- * workload are two distinct artifacts with two distinct keys.
+ * workload are two distinct artifacts with two distinct keys. Only
+ * overlapped (Parallel or Interleaved) configurations have an
+ * artifact: the server serves no Strict clients, and edgeKeyOf
+ * rejects a Strict configuration.
  *
  * The origin uplink is a real TransferEngine running in *global*
- * cycles: concurrent cold misses share its bandwidth exactly the way
- * fleet clients share the serving uplink, an optional FaultPlan
- * composes origin outages and drops with the fault layer, and an
- * in-flight fetch is joined (never duplicated) by later requesters of
- * the same key. Completed fetches settle into residency at their
- * arrival cycle; capacity pressure then evicts by LRU or LFU,
- * deterministically. An artifact larger than the whole capacity is
- * served but never retained (counted `uncacheable`), so eviction
- * always terminates.
+ * cycles at kOriginCyclesPerByte with no concurrency limit:
+ * concurrent cold misses share its bandwidth exactly the way fleet
+ * clients share the serving uplink, and an in-flight fetch is joined
+ * (never duplicated) by later requesters of the same key. Completed
+ * fetches settle into residency at their arrival cycle; capacity
+ * pressure then evicts by LRU or LFU, deterministically. An artifact
+ * larger than the whole capacity is served but never retained
+ * (counted `uncacheable`), so eviction always terminates.
  *
  * Accounting identities, pinned by tests/cache_tier_test.cc:
  *   hits + misses == requests          (every request is exactly one)
@@ -54,28 +56,29 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <tuple>
 
 #include "obs/event.h"
 #include "sim/replay.h"
 #include "transfer/engine.h"
-#include "transfer/faults.h"
 #include "transfer/link.h"
 
 namespace nse
 {
+
+/** Origin-uplink cost (cycles/byte): edges sit on fat pipes, so the
+ *  origin runs at 64x a T1 client link. */
+inline constexpr double kOriginCyclesPerByte = kT1Link.cyclesPerByte / 64.0;
 
 /** Content address of one restructured artifact at the edge. */
 struct EdgeKey
 {
     /** Workload identity (SimContext::contentKey). */
     uint64_t contentKey = 0;
-    SimConfig::Mode mode = SimConfig::Mode::Strict;
-    /** Layout identity; default-valued for Strict (no layout). */
+    SimConfig::Mode mode = SimConfig::Mode::Parallel;
     LayoutKey layout;
-    /** Schedule identity; zeroed for non-Parallel modes (Strict has
-     *  no schedule, Interleaved starts its one file at cycle 0). */
+    /** Schedule identity; zeroed for Interleaved, which starts its
+     *  one file at cycle 0. */
     double cyclesPerByte = 0.0;
     int parallelLimit = 0;
 
@@ -98,16 +101,16 @@ struct EdgeKey
     uint64_t hash() const;
 };
 
-/** The edge key a client configuration addresses. */
+/** The edge key an overlapped client configuration addresses;
+ *  raises FatalError for a Strict one. */
 EdgeKey edgeKeyOf(const SimContext &ctx, const SimConfig &cfg);
 
 /**
  * Bytes of the artifact the edge serves for this configuration: the
- * layout's wire bytes for overlapped modes, the serialized program
- * for Strict. (Partitioned layouts carry the same payload bytes in a
- * different order, so this equals SimContext::totalBytes today; the
- * layout is consulted anyway so per-layout framing overhead, if ever
- * modeled, is charged automatically.)
+ * layout's wire bytes. (Partitioned layouts carry the same payload
+ * bytes in a different order, so this equals SimContext::totalBytes
+ * today; the layout is consulted anyway so per-layout framing
+ * overhead, if ever modeled, is charged automatically.)
  */
 uint64_t artifactBytes(const SimContext &ctx, const SimConfig &cfg);
 
@@ -126,14 +129,6 @@ struct EdgeCacheOptions
     /** Resident-artifact byte budget; 0 = unlimited. */
     uint64_t capacityBytes = 0;
     EvictionPolicy policy = EvictionPolicy::LRU;
-    /** Origin-uplink cost (cycles/byte); edges sit on fat pipes, so
-     *  the default is 64x a T1 client link. Must be > 0. */
-    double originCyclesPerByte = kT1Link.cyclesPerByte / 64.0;
-    /** Concurrent origin fetches; <= 0 = unlimited. */
-    int originConcurrency = 0;
-    /** Origin-uplink faults (outages, drops) — composes with the
-     *  fleet-side fault layer; default all-nominal. */
-    FaultPlan originFaults;
     /** Observer for CacheHit/CacheMiss/CacheEvict (global cycles);
      *  null = unobserved. */
     EventSink *sink = nullptr;
@@ -239,7 +234,7 @@ class EdgeCache
     /** Is the configuration's artifact resident right now? */
     bool resident(const SimContext &ctx, const SimConfig &cfg) const;
 
-    uint64_t time() const { return uplink_->time(); }
+    uint64_t time() const { return uplink_.time(); }
     const EdgeCacheStats &stats() const { return stats_; }
     const EdgeCacheOptions &options() const { return opts_; }
 
@@ -265,7 +260,7 @@ class EdgeCache
               uint64_t keyHash, int stream = -1) const;
 
     EdgeCacheOptions opts_;
-    std::unique_ptr<TransferEngine> uplink_;
+    TransferEngine uplink_{kOriginCyclesPerByte, 0};
     std::map<EdgeKey, Entry> entries_;
     /** In-flight fetches in start order: (stream, key). */
     std::vector<std::pair<int, EdgeKey>> inFlight_;

@@ -51,24 +51,16 @@ struct ClientRt
     /** Global cycle of admission = client-local cycle 0. Equals
      *  `arrival` unless an admission limit queued the client. */
     uint64_t epoch = 0;
-    /** The overlapped run (the §5.1 step and its engine); null for
-     *  Strict clients, which own `strictEngine` instead. */
+    /** The overlapped run (the §5.1 step and its engine); null until
+     *  admission. */
     std::unique_ptr<OverlappedRun> run;
-    std::unique_ptr<TransferEngine> strictEngine;
-    /** Whichever of the two the client has. */
-    TransferEngine *engine = nullptr;
-    const ExecTrace *trace = nullptr; ///< null for Strict
-    /** Strict clients run a two-wait script instead of the trace:
-     *  1 = waiting on the entry class, 2 = waiting on the whole
-     *  program, 3 = executing to completion. 0 = not strict. */
-    int strictStage = 0;
+    const ExecTrace *trace = nullptr;
 
     Phase phase = Phase::Pending;
     size_t eventIdx = 0;
 
     /** The open wait while Blocked, opened at client-local
-     *  blockClock. A strict client waits on its one whole-program
-     *  stream and records it as stream -1. */
+     *  blockClock. */
     FirstUseWait block;
     uint64_t blockClock = 0;
     /** Corrected demand horizon for a mispredict-opened block: the
@@ -85,8 +77,6 @@ struct ClientRt
     int fetch = -1;
     uint64_t fetchStart = 0;
 
-    EventSink *sink = nullptr;
-    double nominalRate = 0.0;
     /** Externally applied share multiplier (engine's externalRate).
      *  Starts at the engine's default so an uncontended client never
      *  has its rate touched at all. */
@@ -142,8 +132,9 @@ void
 engineAdvance(ClientRt &rt, uint64_t T)
 {
     uint64_t local = T - rt.epoch;
-    if (rt.engine->time() < local)
-        rt.engine->advanceTo(local);
+    TransferEngine &engine = rt.run->engine();
+    if (engine.time() < local)
+        engine.advanceTo(local);
 }
 
 /**
@@ -157,71 +148,42 @@ bool
 draining(const ClientRt &rt)
 {
     return rt.phase == ClientRt::Phase::Executing &&
-           (rt.strictStage == 3 ||
-            rt.eventIdx >= rt.trace->events.size());
+           rt.eventIdx >= rt.trace->events.size();
 }
 
-/** Stall cycles the client's waits have booked so far. */
+/** Client-local clock of an Executing client's next action: its next
+ *  first use, or its finish once the trace is exhausted. */
 uint64_t
-stallsOf(const ClientRt &rt)
+dueClock(const ClientRt &rt)
 {
-    return rt.run ? rt.run->stalls() : rt.out.sim.stallCycles;
-}
-
-void
-finishClient(ClientRt &rt, uint64_t finishLocal)
-{
-    if (rt.run) {
-        rt.out.sim = rt.run->finish(finishLocal, rt.trace->totals);
-    } else {
-        const SimContext &ctx = *rt.spec->ctx;
-        finishResult(rt.out.sim, ctx, rt.spec->config, finishLocal,
-                     ctx.testProfile().result, *rt.engine, rt.sink);
-    }
-    rt.out.finished = rt.epoch + finishLocal;
-    rt.phase = ClientRt::Phase::Finished;
+    const ExecTrace &trace = *rt.trace;
+    uint64_t clock = rt.eventIdx < trace.events.size()
+                         ? trace.events[rt.eventIdx].execClock
+                         : trace.totals.clock;
+    return clock + rt.run->stalls();
 }
 
 /**
  * Run the client's replay forward as far as global cycle T allows:
  * resolve an arrived block, process every first-use wait whose clock
  * is due, and finish the run when its final clock is due. The
- * client's engine must already be advanced to T. Overlapped clients
- * take each first use through their OverlappedRun; what stays here is
- * only the server's own waiting: a wait whose bytes have not arrived
- * blocks the client until the event loop has stepped its throttled
- * engine far enough.
+ * client's engine must already be advanced to T. Each first use goes
+ * through the client's OverlappedRun; what stays here is only the
+ * server's own waiting: a wait whose bytes have not arrived blocks
+ * the client until the event loop has stepped its throttled engine
+ * far enough.
  */
 void
 progressClient(ClientRt &rt, uint64_t T)
 {
+    uint64_t local = T - rt.epoch;
     for (;;) {
-        uint64_t local = T - rt.epoch;
         if (rt.phase == ClientRt::Phase::Blocked) {
-            if (!rt.engine->hasArrived(rt.block.stream, rt.block.offset))
+            const TransferEngine &engine = rt.run->engine();
+            if (!engine.hasArrived(rt.block.stream, rt.block.offset))
                 return;
-            uint64_t resume =
-                std::max(rt.blockClock, rt.engine->time());
-            if (rt.strictStage == 1) {
-                // Entry class arrived: that is the invocation
-                // latency, but strict execution still waits for the
-                // whole program. No wait event yet — solo runStrict
-                // reports the entire transfer as ONE MethodWait, so
-                // keep blockClock at 0 and widen the target.
-                rt.out.sim.invocationLatency = resume;
-                rt.strictStage = 2;
-                rt.block.offset = rt.spec->ctx->totalBytes();
-                continue;
-            }
-            if (rt.strictStage == 2) {
-                rt.out.sim.stallCycles += resume - rt.blockClock;
-                observeWait(rt.sink, rt.blockClock, resume, -1,
-                            rt.block.method, 0);
-                rt.strictStage = 3;
-                rt.phase = ClientRt::Phase::Executing;
-                continue;
-            }
-            rt.run->resume(rt.block, rt.blockClock, resume);
+            rt.run->resume(rt.block, rt.blockClock,
+                           std::max(rt.blockClock, engine.time()));
             rt.phase = ClientRt::Phase::Executing;
             ++rt.eventIdx;
             continue;
@@ -229,30 +191,23 @@ progressClient(ClientRt &rt, uint64_t T)
         if (rt.phase != ClientRt::Phase::Executing)
             return;
 
-        if (rt.strictStage == 3) {
-            const VmResult &exec = rt.spec->ctx->testProfile().result;
-            uint64_t fin = exec.execCycles + stallsOf(rt);
-            if (fin > local)
-                return;
-            finishClient(rt, fin);
-            return;
-        }
-        if (rt.eventIdx >= rt.trace->events.size()) {
-            uint64_t fin = rt.trace->totals.clock + stallsOf(rt);
-            if (fin > local)
-                return;
-            finishClient(rt, fin);
-            return;
-        }
-        const TraceEvent &te = rt.trace->events[rt.eventIdx];
-        uint64_t clock = te.execClock + stallsOf(rt);
+        uint64_t clock = dueClock(rt);
         if (clock > local)
             return;
+        if (draining(rt)) {
+            rt.out.sim = rt.run->finish(clock, rt.trace->totals);
+            rt.out.finished = rt.epoch + clock;
+            rt.phase = ClientRt::Phase::Finished;
+            return;
+        }
         NSE_ASSERT(clock == local,
                    "server loop missed a first-use instant");
-        FirstUseWait w = rt.run->arrive(rt.eventIdx, te.method, clock);
-        if (rt.engine->hasArrived(w.stream, w.offset)) {
-            rt.run->resume(w, clock, std::max(clock, rt.engine->time()));
+        const std::vector<TraceEvent> &events = rt.trace->events;
+        FirstUseWait w =
+            rt.run->arrive(rt.eventIdx, events[rt.eventIdx].method, clock);
+        const TransferEngine &engine = rt.run->engine();
+        if (engine.hasArrived(w.stream, w.offset)) {
+            rt.run->resume(w, clock, std::max(clock, engine.time()));
             ++rt.eventIdx;
             continue;
         }
@@ -260,48 +215,28 @@ progressClient(ClientRt &rt, uint64_t T)
         rt.block = w;
         rt.blockClock = clock;
         rt.blockNextUseGlobal =
-            rt.eventIdx + 1 < rt.trace->events.size()
+            rt.eventIdx + 1 < events.size()
                 ? satAdd(rt.epoch,
-                         satAdd(rt.trace->events[rt.eventIdx + 1]
-                                    .execClock,
-                                stallsOf(rt)))
+                         satAdd(events[rt.eventIdx + 1].execClock,
+                                rt.run->stalls()))
                 : UINT64_MAX;
         return;
     }
 }
 
-/** Build the client's engine and initial wait state at admission
- *  (global cycle rt.epoch). */
+/** Build the client's run at admission (global cycle rt.epoch). */
 void
 setupClient(ClientRt &rt, size_t idx, const ServerOptions &opts)
 {
     const ClientSpec &spec = *rt.spec;
-    const SimContext &ctx = *spec.ctx;
-    const SimConfig &cfg = spec.config;
-    rt.sink = opts.sinkFor ? opts.sinkFor(idx) : nullptr;
-    rt.nominalRate = linkRate(cfg.link);
-    if (cfg.mode == SimConfig::Mode::Strict) {
-        rt.strictEngine = std::make_unique<TransferEngine>(
-            cfg.link.cyclesPerByte, 1, cfg.faults);
-        rt.engine = rt.strictEngine.get();
-        rt.engine->setSink(rt.sink);
-        int s = rt.engine->addStream("whole-program", ctx.totalBytes());
-        rt.engine->scheduleStart(s, 0);
-        rt.strictStage = 1;
-        rt.phase = ClientRt::Phase::Blocked;
-        rt.block = {ctx.program().entry(), s, ctx.entryClassBytes(),
-                    false};
-        rt.blockClock = 0;
-    } else {
-        rt.run = std::make_unique<OverlappedRun>(ctx, cfg, rt.sink);
-        rt.engine = &rt.run->engine();
-        rt.trace = &ctx.trace();
-        rt.phase = ClientRt::Phase::Executing;
-    }
+    rt.run = std::make_unique<OverlappedRun>(
+        *spec.ctx, spec.config, opts.sinkFor ? opts.sinkFor(idx) : nullptr);
+    rt.trace = &spec.ctx->trace();
+    rt.phase = ClientRt::Phase::Executing;
     // Fire cycle-0 scheduled starts so the demand refresh below sees
     // the streams active (runReplay gets this from its first waitFor
     // at clock 0).
-    rt.engine->advanceTo(0);
+    rt.run->engine().advanceTo(0);
 }
 
 /** Recompute the client's cached event candidates (global cycles).
@@ -331,28 +266,18 @@ computeCandidates(ClientRt &rt, const EdgeCache *cache)
         rt.nextEngineEv = UINT64_MAX;
         return;
       case ClientRt::Phase::Blocked:
-        rt.nextAction = satAdd(
-            rt.epoch,
-            rt.engine->nextStepToward(rt.block.stream, rt.block.offset));
+        rt.nextAction = satAdd(rt.epoch, rt.run->engine().nextStepToward(
+                                             rt.block.stream,
+                                             rt.block.offset));
         rt.nextEngineEv = UINT64_MAX;
         return;
-      case ClientRt::Phase::Executing: {
-        uint64_t local;
-        if (rt.strictStage == 3) {
-            local = rt.spec->ctx->testProfile().result.execCycles +
-                    stallsOf(rt);
-        } else if (rt.eventIdx < rt.trace->events.size()) {
-            local = rt.trace->events[rt.eventIdx].execClock + stallsOf(rt);
-        } else {
-            local = rt.trace->totals.clock + stallsOf(rt);
-        }
-        rt.nextAction = satAdd(rt.epoch, local);
-        rt.nextEngineEv = draining(rt)
-                              ? UINT64_MAX
-                              : satAdd(rt.epoch,
-                                       rt.engine->nextEventTime());
+      case ClientRt::Phase::Executing:
+        rt.nextAction = satAdd(rt.epoch, dueClock(rt));
+        rt.nextEngineEv =
+            draining(rt)
+                ? UINT64_MAX
+                : satAdd(rt.epoch, rt.run->engine().nextEventTime());
         return;
-      }
       case ClientRt::Phase::Finished:
         rt.nextAction = UINT64_MAX;
         rt.nextEngineEv = UINT64_MAX;
@@ -383,8 +308,10 @@ ServerResult
 runServer(const std::vector<ClientSpec> &clients,
           const ServerOptions &opts)
 {
-    NSE_CHECK(opts.uplinkBytesPerCycle > 0.0,
-              "server uplink capacity must be positive");
+    NSE_CHECK(std::isfinite(opts.uplinkBytesPerCycle) &&
+                  opts.uplinkBytesPerCycle > 0.0,
+              "server uplink capacity must be finite and positive, got ",
+              opts.uplinkBytesPerCycle);
     NSE_CHECK(opts.allocator != nullptr, "server needs an allocator");
     size_t n = clients.size();
     NSE_CHECK(n > 0, "server needs at least one client");
@@ -397,6 +324,10 @@ runServer(const std::vector<ClientSpec> &clients,
     for (size_t i = 0; i < n; ++i) {
         NSE_CHECK(clients[i].ctx != nullptr,
                   "client spec without a context");
+        NSE_CHECK(clients[i].config.mode != SimConfig::Mode::Strict,
+                  "server client ", i, " is Strict; the server serves "
+                  "only Parallel or Interleaved clients (runReplay "
+                  "gives the strict baseline)");
         clients[i].config.validate(clients[i].ctx->totalBytes());
         rts[i].spec = &clients[i];
         rts[i].arrival = arrivals[i];
@@ -451,7 +382,7 @@ runServer(const std::vector<ClientSpec> &clients,
         bool running = rt.phase == ClientRt::Phase::Executing ||
                        rt.phase == ClientRt::Phase::Blocked;
         bool demanding = running && !draining(rt) &&
-                         rt.engine->activeCount() > 0;
+                         rt.run->engine().activeCount() > 0;
         uint64_t nfu;
         if (rt.phase == ClientRt::Phase::Blocked)
             // A block from the static plan's own slack is maximally
@@ -581,7 +512,7 @@ runServer(const std::vector<ClientSpec> &clients,
         // effect since the previous event (per-client state only:
         // shards deterministically).
         forEach(actors, [&](size_t i) {
-            if (rts[i].engine && !draining(rts[i]))
+            if (rts[i].run && !draining(rts[i]))
                 engineAdvance(rts[i], T);
         });
 
@@ -674,12 +605,10 @@ runServer(const std::vector<ClientSpec> &clients,
                 // first so the new rate only governs cycles after T.
                 for (size_t i = 0; i < n; ++i) {
                     ClientRt &rt = rts[i];
-                    if (!rt.engine ||
-                        rt.phase == ClientRt::Phase::Finished)
+                    if (!rt.run || rt.phase == ClientRt::Phase::Finished)
                         continue;
-                    double mult = rt.nominalRate > 0.0
-                                      ? rates[i] / rt.nominalRate
-                                      : 0.0;
+                    double nominal = demands[i].nominalRate;
+                    double mult = nominal > 0.0 ? rates[i] / nominal : 0.0;
                     if (!demands[i].demanding)
                         mult = rt.mult; // idle engine: keep the share
                     if (!nearlyEqualRate(mult, rt.mult)) {
@@ -689,7 +618,7 @@ runServer(const std::vector<ClientSpec> &clients,
                 }
                 forEach(retimed, [&](size_t i) {
                     engineAdvance(rts[i], T);
-                    rts[i].engine->setExternalRate(rts[i].mult);
+                    rts[i].run->engine().setExternalRate(rts[i].mult);
                 });
                 // A retimed engine may have completed streams while
                 // advancing: its demand must be re-read next event.

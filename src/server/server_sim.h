@@ -7,11 +7,15 @@
  * each replaying an existing (SimContext, SimConfig) pair against its
  * own TransferEngine, compete for one uplink whose capacity a
  * pluggable BandwidthAllocator (server/allocator.h) divides among
- * them. Arrivals come from a seeded deterministic ArrivalPlan
- * (server/arrivals.h); per-client FaultPlans ride along unchanged in
- * each client's SimConfig. An optional admission limit holds arrivals
- * at the door until a slot frees, trading queueing delay at the edge
- * for fair-share starvation inside.
+ * them. The server exists to study non-strict delivery at fleet
+ * scale, so it serves only overlapped (Parallel or Interleaved)
+ * clients and rejects a Strict one with FatalError; the strict
+ * baseline every table divides by is a solo runReplay. Arrivals come
+ * from a seeded deterministic ArrivalPlan (server/arrivals.h);
+ * per-client FaultPlans ride along unchanged in each client's
+ * SimConfig. An optional admission limit holds arrivals at the door
+ * until a slot frees, trading queueing delay at the edge for
+ * fair-share starvation inside.
  *
  * The core is a batched event-driven loop over piecewise-constant
  * per-client rates — the N-client generalization of the engine's own
@@ -45,14 +49,14 @@
  * with the water-filling cap tolerance (1e-12): re-split residue an
  * ulp away from the applied rate is the applied rate, so FP jitter
  * can neither inflate allocationIntervals nor trigger spurious
- * whole-fleet engine retimes. Each overlapped client takes its first
- * uses through its own OverlappedRun (sim/replay.h), the step solo
- * runs take too; the loop adds only the waiting. Blocked clients are
- * stepped with the engine's own nextStepToward bound — the identical
- * arithmetic waitFor uses — so a one-client server run reproduces the
- * solo runReplay SimResult cycle-for-cycle (tests/server_test.cc pins
- * this), and a fleet whose uplink never saturates reproduces every
- * client's solo result simultaneously.
+ * whole-fleet engine retimes. Every client takes its first uses
+ * through its own OverlappedRun (sim/replay.h), the step solo runs
+ * take too; the loop adds only the waiting. Blocked clients are
+ * stepped with the engine's own nextStepToward bound — the bound
+ * waitFor itself loops on — so every client of a one-client server
+ * run reproduces the solo runReplay SimResult cycle-for-cycle
+ * (tests/server_test.cc pins this), and a fleet whose uplink never
+ * saturates reproduces every client's solo result simultaneously.
  *
  * Scaling: per-event engine advancement and candidate recomputation
  * touch only per-client state, so they shard across an
@@ -84,7 +88,8 @@ namespace nse
 {
 
 /** One simulated client: a workload context plus the configuration
- *  its transfers and replay run under. */
+ *  its transfers and replay run under. The mode must be Parallel or
+ *  Interleaved; runServer rejects a Strict client. */
 struct ClientSpec
 {
     const SimContext *ctx = nullptr;
@@ -108,7 +113,8 @@ enum class ServerLoop : uint8_t
 /** Server-side simulation parameters. */
 struct ServerOptions
 {
-    /** Uplink capacity, bytes per cycle; must be > 0. A convenient
+    /** Uplink capacity, bytes per cycle; must be finite and > 0
+     *  (FatalError otherwise). A convenient
      *  scale: linkRate(kT1Link) is one T1 client's nominal demand. */
     double uplinkBytesPerCycle = 0.0;
     /** Cross-client allocation policy; must be non-null. */
@@ -203,7 +209,8 @@ struct ServerResult
     uint64_t allocatorRuns = 0;
 };
 
-/** Run the fleet to completion. */
+/** Run the fleet to completion. Raises FatalError for invalid
+ *  options, a Strict client, or a link SimConfig::validate rejects. */
 ServerResult runServer(const std::vector<ClientSpec> &clients,
                        const ServerOptions &opts);
 

@@ -76,6 +76,10 @@ SimConfig::validate(uint64_t total_bytes) const
               " cycles per byte overflows the cycle counter");
 }
 
+namespace
+{
+
+/** Record one first use's wait on `obs` (null records nothing). */
 void
 observeWait(EventSink *obs, uint64_t clock, uint64_t resume,
             int stream, MethodId id, uint64_t offset)
@@ -92,9 +96,6 @@ observeWait(EventSink *obs, uint64_t clock, uint64_t resume,
     ev.b = offset;
     obs->record(ev);
 }
-
-namespace
-{
 
 void
 observeEnd(EventSink *obs, const SimResult &r)
@@ -165,9 +166,8 @@ OverlappedRun::OverlappedRun(const SimContext &ctx, const SimConfig &cfg,
     }
     engine_.setSink(obs);
     if (parallel && cfg.runaheadDepth > 0)
-        runahead_.emplace(ctx.trace(), *layout_, &ctx.callGraph(),
-                          RunaheadConfig{cfg.runaheadDepth,
-                                         cfg.runaheadK});
+        runahead_.emplace(ctx.trace(), *layout_, ctx.callGraph(),
+                          cfg.runaheadDepth);
 }
 
 FirstUseWait
@@ -230,27 +230,21 @@ OverlappedRun::finish(uint64_t final_clock, const VmResult &totals)
     if (lastResume_ > engine_.time())
         engine_.advanceTo(lastResume_);
     SimResult r = result_;
-    finishResult(r, *ctx_, *cfg_, final_clock, totals, engine_, obs_);
-    return r;
-}
-
-void
-finishResult(SimResult &r, const SimContext &ctx, const SimConfig &cfg,
-             uint64_t final_clock, const VmResult &totals,
-             const TransferEngine &engine, EventSink *obs)
-{
     r.totalCycles = final_clock;
     r.execCycles = totals.execCycles;
     // The paper's reference figure (and every table's denominator):
     // the whole program front-to-back on the run's own link under its
     // own plan.
-    r.transferCycles = wholeProgramTransferCycles(
-        ctx.totalBytes(), ctx.entryClassBytes(), cfg.link, cfg.faults);
+    r.transferCycles =
+        wholeProgramTransferCycles(ctx_->totalBytes(),
+                                   ctx_->entryClassBytes(), cfg_->link,
+                                   cfg_->faults);
     r.bytecodes = totals.bytecodes;
     r.cpi = totals.cpi();
-    r.retryCount = engine.retryCount();
-    r.degradedCycles = engine.degradedCycles();
-    observeEnd(obs, r);
+    r.retryCount = engine_.retryCount();
+    r.degradedCycles = engine_.degradedCycles();
+    observeEnd(obs_, r);
+    return r;
 }
 
 SimResult

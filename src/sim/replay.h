@@ -13,8 +13,11 @@
  * retained interpreter-in-the-loop implementation).
  *
  * The run-time rule at each first use (paper §5.1) lives once, in
- * OverlappedRun; runReplay, runLiveReference, every overlapped server
- * client (server/server_sim.h) and the schedule ablation drive it.
+ * OverlappedRun; runReplay, runLiveReference, every server client
+ * (server/server_sim.h, which serves only overlapped clients) and the
+ * schedule ablation drive it. Strict mode needs no step: it is one
+ * wait for the whole program, computed in closed form (or on a
+ * faulted engine) by runReplay and runLiveReference alone.
  */
 
 #ifndef NSE_SIM_REPLAY_H
@@ -69,14 +72,13 @@ struct SimConfig
      * Online runahead transfer scheduling (transfer/runahead.h),
      * Parallel mode only: at every stalled first use, look this many
      * trace events ahead (bounded by the RTA call graph for paths
-     * beyond the window) and reorder the remaining idle transfer
-     * units toward the predicted first-uses. 0 (the default) disables
-     * runahead entirely; the run is then bit-identical to the static
-     * schedule (pinned by tests/runahead_test.cc).
+     * beyond the window) and promote up to RunaheadScheduler::kMaxPromotions
+     * of the remaining idle transfer units toward the predicted
+     * first-uses. 0 (the default) disables runahead entirely; the run
+     * is then bit-identical to the static schedule (pinned by
+     * tests/runahead_test.cc).
      */
     uint32_t runaheadDepth = 0;
-    /** Max streams runahead may promote per stall. */
-    uint32_t runaheadK = 4;
 
     /**
      * Raise FatalError unless the link can carry a `total_bytes`
@@ -130,7 +132,9 @@ double normalizedPct(const SimResult &result, const SimResult &strict);
 
 /**
  * Execute one configuration by trace replay (always on the test
- * input). Thread-safe: concurrent calls on one context are fine.
+ * input): Strict as one whole-program wait, Parallel and Interleaved
+ * through an OverlappedRun. Thread-safe: concurrent calls on one
+ * context are fine.
  *
  * `obs` optionally observes the run (obs/event.h): every transfer
  * stream edge and watch crossing from the engine, one MethodWait
@@ -171,20 +175,6 @@ uint64_t wholeProgramTransferCycles(uint64_t total_bytes,
                                     uint64_t *degraded_cycles = nullptr,
                                     EventSink *obs = nullptr);
 
-/** Record one first use's wait on `obs` (null records nothing). */
-void observeWait(EventSink *obs, uint64_t clock, uint64_t resume,
-                 int stream, MethodId id, uint64_t offset);
-
-/**
- * Fill in the end-of-run fields of `r` for a run of (ctx, cfg) that
- * ended at `final_clock` after executing `totals`, its transfers
- * carried by `engine`, and record RunEnd on `obs`.
- */
-void finishResult(SimResult &r, const SimContext &ctx,
-                  const SimConfig &cfg, uint64_t final_clock,
-                  const VmResult &totals, const TransferEngine &engine,
-                  EventSink *obs);
-
 /** Where one first use waits, as OverlappedRun::arrive resolved it. */
 struct FirstUseWait
 {
@@ -200,8 +190,10 @@ struct FirstUseWait
  * One overlapped (Parallel or Interleaved) run, stepped one first use
  * at a time: the paper's run-time rule (§5.1) in one place. It owns
  * the run's layout, TransferEngine, optional RunaheadScheduler, sink
- * and the SimResult being built; each executor brings only its clock
- * and its way of waiting:
+ * and the SimResult being built, and it is the only way any executor
+ * — solo replay, the live reference, a server client — runs an
+ * overlapped configuration. Each executor brings only its clock and
+ * its way of waiting:
  *
  *   arrive  advance the engine to the first use's clock, demand-fetch
  *           a mispredicted class, trigger runahead; returns the wait;

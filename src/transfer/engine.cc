@@ -121,7 +121,9 @@ TransferEngine::perStreamRate() const
 void
 TransferEngine::setExternalRate(double multiplier)
 {
-    NSE_CHECK(multiplier >= 0.0, "negative external rate multiplier");
+    NSE_CHECK(std::isfinite(multiplier) && multiplier >= 0.0,
+              "external rate multiplier must be finite and "
+              "non-negative, got ", multiplier);
     extRate_ = multiplier;
 }
 
@@ -134,9 +136,13 @@ TransferEngine::nextStepToward(int stream, uint64_t offset) const
     const Stream &s = streams_[si];
     double rate = perStreamRate();
     if (s.state == StreamState::Active && rate > 0.0) {
-        // Identical arithmetic to waitFor's crossing estimate, so an
-        // external loop stepping to this bound reproduces waitFor's
-        // integration segments exactly.
+        // Crossing estimate at the current rate, valid up to the next
+        // event (nextEvent caps it at trace boundaries and this
+        // stream's own drop offsets). During a full outage (rate 0)
+        // there is no crossing to estimate; the trace's next change
+        // point is already in `ev`. waitFor steps to exactly this
+        // bound, so an external loop doing the same reproduces its
+        // integration segments.
         double remaining =
             std::min(static_cast<double>(offset), stopBytes(si)) -
             s.arrivedBytes;
@@ -559,28 +565,12 @@ uint64_t
 TransferEngine::waitFor(int stream, uint64_t offset, uint64_t now)
 {
     advanceTo(std::max(now, time_));
-    Stream &s = streams_[static_cast<size_t>(stream)];
+    const Stream &s = streams_[static_cast<size_t>(stream)];
     NSE_CHECK(static_cast<double>(offset) <= s.totalBytes + kEps,
               "wait past the end of stream ", s.name);
-    auto target = static_cast<double>(offset);
 
-    while (s.arrivedBytes + kEps < target) {
-        uint64_t ev = nextEvent();
-        double rate = perStreamRate();
-        if (s.state == StreamState::Active && rate > 0.0) {
-            // Crossing estimate at the current rate, valid up to the
-            // next event (nextEvent caps it at trace boundaries and
-            // this stream's own drop offsets). During a full outage
-            // (rate 0) there is no crossing to estimate; the trace's
-            // next change point is already in `ev`.
-            double remaining =
-                std::min(target, stopBytes(static_cast<size_t>(
-                                     stream))) -
-                s.arrivedBytes;
-            uint64_t cross = completionAt(time_, remaining / rate);
-            if (cross != UINT64_MAX)
-                ev = std::min(ev, std::max(cross, time_ + 1));
-        }
+    while (!hasArrived(stream, offset)) {
+        uint64_t ev = nextStepToward(stream, offset);
         if (ev == UINT64_MAX) {
             fatal("waiting on stream ", s.name,
                   " which will never transfer (not started and "

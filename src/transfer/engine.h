@@ -144,8 +144,9 @@ class TransferEngine
      * share, the server advances every engine to the allocation
      * instant, then sets the new multiplier — so within any
      * integration step the effective rate is still exactly constant.
-     * 0 is legal (a fully starved client: no bytes move until the
-     * next allocation). The caller must have advanced the engine to
+     * It must be finite and non-negative (FatalError otherwise); 0
+     * is legal (a fully starved client: no bytes move until the next
+     * allocation). The caller must have advanced the engine to
      * the cycle the new rate takes effect; the default of 1.0
      * reproduces the unthrottled engine byte-for-byte.
      */
@@ -163,12 +164,13 @@ class TransferEngine
     uint64_t nextEventTime() const { return nextEvent(); }
 
     /**
-     * The exact step bound waitFor would take toward `offset` bytes
-     * of `stream`: min(nextEventTime(), the crossing estimate at the
+     * The step bound waitFor takes toward `offset` bytes of
+     * `stream`: min(nextEventTime(), the crossing estimate at the
      * current rate). UINT64_MAX when no progress is possible at
-     * current rates. Pure query — advancing to exactly this bound and
-     * re-querying reproduces waitFor's step sequence (and therefore
-     * its cycle-exact results) from outside the engine.
+     * current rates. Pure query — waitFor loops on exactly this and
+     * hasArrived, so an external loop that advances to this bound and
+     * re-queries reproduces waitFor's step sequence (and therefore
+     * its cycle-exact results) by construction.
      */
     uint64_t nextStepToward(int stream, uint64_t offset) const;
 

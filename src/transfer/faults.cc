@@ -29,28 +29,6 @@ BandwidthTrace::BandwidthTrace(std::vector<RateSegment> segments)
     }
 }
 
-double
-BandwidthTrace::multiplierAt(uint64_t cycle) const
-{
-    if (segments_.empty())
-        return 1.0;
-    // Last segment whose startCycle <= cycle.
-    auto it = std::upper_bound(
-        segments_.begin(), segments_.end(), cycle,
-        [](uint64_t c, const RateSegment &s) { return c < s.startCycle; });
-    NSE_ASSERT(it != segments_.begin(), "trace lookup before cycle 0");
-    return std::prev(it)->multiplier;
-}
-
-uint64_t
-BandwidthTrace::nextChangeAfter(uint64_t cycle) const
-{
-    auto it = std::upper_bound(
-        segments_.begin(), segments_.end(), cycle,
-        [](uint64_t c, const RateSegment &s) { return c < s.startCycle; });
-    return it == segments_.end() ? UINT64_MAX : it->startCycle;
-}
-
 BandwidthTrace
 BandwidthTrace::step(uint64_t at, double after)
 {

@@ -61,13 +61,6 @@ class BandwidthTrace
      *  multipliers finite and >= 0 (0 = full outage). */
     explicit BandwidthTrace(std::vector<RateSegment> segments);
 
-    /** Bandwidth multiplier in effect at `cycle`. */
-    double multiplierAt(uint64_t cycle) const;
-
-    /** First segment boundary strictly after `cycle`;
-     *  UINT64_MAX = none. */
-    uint64_t nextChangeAfter(uint64_t cycle) const;
-
     bool nominal() const { return segments_.empty(); }
     const std::vector<RateSegment> &segments() const { return segments_; }
 

@@ -22,19 +22,19 @@ constexpr size_t kExpansionBudget = 256;
 
 RunaheadScheduler::RunaheadScheduler(const ExecTrace &trace,
                                      const TransferLayout &layout,
-                                     const CallGraph *cg,
-                                     RunaheadConfig cfg)
-    : trace_(&trace), layout_(&layout), cg_(cg), cfg_(cfg)
+                                     const CallGraph &cg,
+                                     uint32_t depth)
+    : trace_(&trace), layout_(&layout), cg_(&cg), depth_(depth)
 {
     mark_.resize(layout.streams.size(), 0);
-    predicted_.reserve(cfg.k);
+    predicted_.reserve(kMaxPromotions);
 }
 
 void
 RunaheadScheduler::onStall(TransferEngine &engine, size_t eventIdx,
                            uint64_t clock, EventSink *obs)
 {
-    if (cfg_.depth == 0 || cfg_.k == 0)
+    if (depth_ == 0)
         return;
     const std::vector<TraceEvent> &evs = trace_->events;
     if (eventIdx >= evs.size())
@@ -61,30 +61,31 @@ RunaheadScheduler::onStall(TransferEngine &engine, size_t eventIdx,
     //    method the analysis proves unreachable must not be fetched
     //    speculatively, but its stream still must not be deferred.
     size_t end = std::min(evs.size(),
-                          eventIdx + 1 + static_cast<size_t>(cfg_.depth));
+                          eventIdx + 1 + static_cast<size_t>(depth_));
     for (size_t j = eventIdx + 1; j < end; ++j) {
         MethodId m = evs[j].method;
         const MethodPlacement &pl = layout_->of(m);
         if (pl.streamIdx < 0 || mark_[static_cast<size_t>(pl.streamIdx)])
             continue;
         mark_[static_cast<size_t>(pl.streamIdx)] = 1;
-        if (cg_ && !cg_->rtaReachable(m))
+        if (!cg_->rtaReachable(m))
             continue;
-        if (predicted_.size() < cfg_.k && wantsPromotion(pl))
+        if (predicted_.size() < kMaxPromotions && wantsPromotion(pl))
             predicted_.push_back(pl.streamIdx);
     }
 
     // 2. Not-yet-seen paths: when the trace window maps to fewer than
-    //    k streams, expand breadth-first over the RTA call graph from
-    //    the blocked method — the methods it may invoke once its bytes
-    //    arrive are the plausible next first-uses beyond the window.
-    if (predicted_.size() < cfg_.k && cg_ != nullptr) {
+    //    kMaxPromotions streams, expand breadth-first over the RTA
+    //    call graph from the blocked method — the methods it may
+    //    invoke once its bytes arrive are the plausible next
+    //    first-uses beyond the window.
+    if (predicted_.size() < kMaxPromotions) {
         std::deque<MethodId> frontier;
         std::set<MethodId> visited;
         frontier.push_back(evs[eventIdx].method);
         visited.insert(evs[eventIdx].method);
         size_t budget = kExpansionBudget;
-        while (!frontier.empty() && predicted_.size() < cfg_.k &&
+        while (!frontier.empty() && predicted_.size() < kMaxPromotions &&
                budget > 0) {
             --budget;
             MethodId m = frontier.front();
@@ -102,10 +103,10 @@ RunaheadScheduler::onStall(TransferEngine &engine, size_t eventIdx,
                         continue;
                     mark_[static_cast<size_t>(pl.streamIdx)] = 1;
                     predicted_.push_back(pl.streamIdx);
-                    if (predicted_.size() >= cfg_.k)
+                    if (predicted_.size() >= kMaxPromotions)
                         break;
                 }
-                if (predicted_.size() >= cfg_.k)
+                if (predicted_.size() >= kMaxPromotions)
                     break;
             }
         }

@@ -10,7 +10,8 @@
  * adapts the plan *online*: each time the replay executor stalls on a
  * method wait, it runs ahead in the client's recorded ExecTrace —
  * bounded by the RTA call graph for paths the trace window does not
- * reach — to predict the next k first-uses, then reorders the
+ * reach — to predict the next first-uses (at most kMaxPromotions
+ * streams), then reorders the
  * remaining (idle) transfer units through TransferEngine::reschedule:
  *
  *  - predicted streams whose needed prefix has not arrived are
@@ -45,15 +46,6 @@ struct ExecTrace;
 struct TransferLayout;
 class CallGraph;
 
-/** Runahead knobs; depth == 0 disables the scheduler entirely. */
-struct RunaheadConfig
-{
-    /** Trace events to look ahead past the stalled one. */
-    uint32_t depth = 0;
-    /** Max distinct streams promoted per stall. */
-    uint32_t k = 4;
-};
-
 struct RunaheadStats
 {
     uint64_t stallsInspected = 0;
@@ -64,22 +56,26 @@ struct RunaheadStats
 /**
  * Per-client online scheduler. Construct once per replay (it scales
  * its scratch state to the layout) and call onStall() at every
- * first-use wait whose bytes have not arrived. `cg` may be null
- * (no speculative expansion beyond the trace window, no RTA bound —
- * used only by tests); `obs` may be null.
+ * first-use wait whose bytes have not arrived. `depth` is the number
+ * of trace events to look ahead past the stalled one; 0 disables the
+ * scheduler entirely.
  */
 class RunaheadScheduler
 {
   public:
+    /** Max distinct streams promoted per stall. */
+    static constexpr size_t kMaxPromotions = 4;
+
     RunaheadScheduler(const ExecTrace &trace, const TransferLayout &layout,
-                      const CallGraph *cg, RunaheadConfig cfg);
+                      const CallGraph &cg, uint32_t depth);
 
     /**
      * React to a misprediction stall: the replay is blocked on trace
      * event `eventIdx` at cycle `clock` (the engine has been advanced
      * to `clock`) and a demand fetch for the blocked stream was just
      * issued. Promotes / defers idle streams as described above and
-     * emits RunaheadPromote / RunaheadDefer events to `obs`.
+     * emits RunaheadPromote / RunaheadDefer events to `obs` (null
+     * records nothing).
      *
      * Call this only for misprediction stalls, never for ordinary
      * bandwidth waits on an in-flight transfer. A misprediction proves
@@ -101,7 +97,7 @@ class RunaheadScheduler
     const ExecTrace *trace_;
     const TransferLayout *layout_;
     const CallGraph *cg_;
-    RunaheadConfig cfg_;
+    uint32_t depth_;
     RunaheadStats stats_;
 
     /** Scratch, reused across stalls: per-stream "seen in window". */

@@ -270,12 +270,8 @@ class GreedyPlacer
 TransferSchedule
 buildGreedySchedule(const TransferLayout &layout,
                     const StreamDemand &demand, const LinkModel &link,
-                    int limit, const FaultPlan *faults)
+                    int limit)
 {
-    // Planning is nominal by contract (see header): the placer's
-    // internal engines use the bare link model even when the run will
-    // be evaluated under `faults`.
-    (void)faults;
     GreedyPlacer placer(layout, demand, link, limit);
     return placer.run();
 }

@@ -153,8 +153,9 @@ TEST(EdgeKeyTest, EvaluationKnobsShareRestructuringKnobsSplit)
     EXPECT_TRUE(edgeKeyOf(ctx, il) == edgeKeyOf(ctx, ilModem));
 
     EXPECT_EQ(artifactBytes(ctx, cfg), ctx.totalBytes());
+    // Strict clients are never served, so they address no artifact.
     SimConfig strict;
-    EXPECT_EQ(artifactBytes(ctx, strict), ctx.totalBytes());
+    EXPECT_THROW(edgeKeyOf(ctx, strict), FatalError);
 }
 
 TEST(EdgeKeyTest, KeysArePinned)
@@ -196,8 +197,8 @@ TEST(EdgeCacheTest, MissFetchHitAndJoinAccounting)
 
     // The uncontended fetch completes exactly at the origin link's
     // nominal cost; afterwards the artifact is resident and hits.
-    uint64_t cost = transferCost(
-        bytes, LinkModel{"origin", opts.originCyclesPerByte});
+    uint64_t cost =
+        transferCost(bytes, LinkModel{"origin", kOriginCyclesPerByte});
     cache.advanceTo(cost - 1);
     EXPECT_FALSE(cache.fetchReady(a.fetch));
     cache.advanceTo(cost);
@@ -345,9 +346,9 @@ TEST(CacheTier, OneClientColdCacheShiftsEpochNotResults)
     const ServerClientResult &c = cold.clients[0];
     expectSameResult(c.sim, solo, "cold cache");
     EXPECT_FALSE(c.cacheHit);
-    uint64_t fetchCost = transferCost(
-        artifactBytes(ctx, cfg),
-        LinkModel{"origin", copts.originCyclesPerByte});
+    uint64_t fetchCost =
+        transferCost(artifactBytes(ctx, cfg),
+                     LinkModel{"origin", kOriginCyclesPerByte});
     EXPECT_EQ(c.cacheWait, fetchCost);
     EXPECT_EQ(c.admitted, c.arrival + fetchCost);
     EXPECT_EQ(c.finished, c.admitted + c.sim.totalCycles);

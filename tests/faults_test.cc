@@ -1,6 +1,6 @@
 /**
  * @file
- * Link-behavior layer tests: bandwidth-trace lookup and validation,
+ * Link-behavior layer tests: bandwidth-trace segments and validation,
  * seeded burst/drop generation determinism, retry/backoff arithmetic,
  * and the transfer engine's piecewise-rate integration — exact
  * timings under rate steps, suspend/resume around connection drops,
@@ -26,33 +26,36 @@ constexpr double kCpb = 100.0; // simple round link: 100 cycles/byte
 
 // ---------------------------------------------------------------- trace
 
+/** Expect `t` to consist of exactly the segments `want`. */
+void
+expectSegments(const BandwidthTrace &t,
+               const std::vector<RateSegment> &want)
+{
+    const std::vector<RateSegment> &got = t.segments();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].startCycle, want[i].startCycle) << i;
+        EXPECT_DOUBLE_EQ(got[i].multiplier, want[i].multiplier) << i;
+    }
+}
+
 TEST(Trace, DefaultIsNominal)
 {
     BandwidthTrace t;
     EXPECT_TRUE(t.nominal());
-    EXPECT_DOUBLE_EQ(t.multiplierAt(0), 1.0);
-    EXPECT_DOUBLE_EQ(t.multiplierAt(UINT64_MAX - 1), 1.0);
-    EXPECT_EQ(t.nextChangeAfter(0), UINT64_MAX);
+    EXPECT_TRUE(t.segments().empty());
 }
 
 TEST(Trace, StepLookup)
 {
     BandwidthTrace t = BandwidthTrace::step(1'000, 0.5);
     EXPECT_FALSE(t.nominal());
-    EXPECT_DOUBLE_EQ(t.multiplierAt(0), 1.0);
-    EXPECT_DOUBLE_EQ(t.multiplierAt(999), 1.0);
-    EXPECT_DOUBLE_EQ(t.multiplierAt(1'000), 0.5);
-    EXPECT_DOUBLE_EQ(t.multiplierAt(5'000'000), 0.5);
-    EXPECT_EQ(t.nextChangeAfter(0), 1'000u);
-    EXPECT_EQ(t.nextChangeAfter(999), 1'000u);
-    EXPECT_EQ(t.nextChangeAfter(1'000), UINT64_MAX);
+    expectSegments(t, {{0, 1.0}, {1'000, 0.5}});
 }
 
 TEST(Trace, StepAtZeroIsSingleSegment)
 {
-    BandwidthTrace t = BandwidthTrace::step(0, 0.25);
-    EXPECT_DOUBLE_EQ(t.multiplierAt(0), 0.25);
-    EXPECT_EQ(t.nextChangeAfter(0), UINT64_MAX);
+    expectSegments(BandwidthTrace::step(0, 0.25), {{0, 0.25}});
 }
 
 TEST(Trace, ValidationRejectsBadSegments)
@@ -86,10 +89,7 @@ TEST(Trace, ZeroMultiplierIsLegalOutage)
     // rejected; the engine now treats it as rate 0 until the next
     // change point).
     BandwidthTrace t({{0, 1.0}, {10, 0.0}, {20, 1.0}});
-    EXPECT_DOUBLE_EQ(t.multiplierAt(10), 0.0);
-    EXPECT_DOUBLE_EQ(t.multiplierAt(19), 0.0);
-    EXPECT_DOUBLE_EQ(t.multiplierAt(20), 1.0);
-    EXPECT_EQ(t.nextChangeAfter(10), 20u);
+    expectSegments(t, {{0, 1.0}, {10, 0.0}, {20, 1.0}});
 }
 
 TEST(Trace, BurstsAreDeterministicAndWellFormed)

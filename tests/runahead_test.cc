@@ -144,8 +144,8 @@ variants()
 TEST(Runahead, DepthZeroIsBitIdenticalToStaticReplay)
 {
     // The differential sweep of the disabled knob: runaheadDepth=0
-    // (any k) must not perturb a single field or recorded event
-    // relative to a config that never heard of runahead.
+    // must not perturb a single field or recorded event relative to a
+    // config that never heard of runahead.
     const SimContext &ctx = zipperCtx();
     const SimConfig::Mode modes[] = {SimConfig::Mode::Parallel,
                                      SimConfig::Mode::Interleaved};
@@ -164,7 +164,6 @@ TEST(Runahead, DepthZeroIsBitIdenticalToStaticReplay)
                 base.faults = v.faults;
                 SimConfig off = base;
                 off.runaheadDepth = 0;
-                off.runaheadK = 9; // ignored while depth == 0
                 std::string what = cat(v.name, " mode=",
                                        static_cast<int>(mode),
                                        " ord=", orderingName(ord));
@@ -228,7 +227,6 @@ TEST(Runahead, MatchesLiveCoSimulation)
                     if (faults)
                         cfg.faults = faultyPlan();
                     cfg.runaheadDepth = depth;
-                    cfg.runaheadK = 4;
                     expectIdentical(
                         runReplay(*ctx, cfg),
                         runLiveReference(*ctx, cfg),
@@ -258,7 +256,6 @@ TEST(Runahead, ReducesMispredictionStallOnCrossInputWorkload)
 
         SimConfig ra = cfg;
         ra.runaheadDepth = 16;
-        ra.runaheadK = 4;
         EventTrace trace;
         SimResult run = runReplay(ctx, ra, &trace);
         EXPECT_LT(run.stallCycles, stat.stallCycles)
@@ -324,7 +321,6 @@ TEST(Runahead, OneClientServerMatchesSoloRunaheadReplay)
     const SimContext &ctx = jessCtx();
     SimConfig cfg = parallelConfig(OrderingSource::Train);
     cfg.runaheadDepth = 16;
-    cfg.runaheadK = 4;
 
     EventTrace solo;
     SimResult sr = runReplay(ctx, cfg, &solo);

@@ -231,42 +231,31 @@ TEST(ServerSim, OneClientMatchesSoloReplayExactly)
     }
 }
 
-TEST(ServerSim, OneClientStrictMatchesSoloWithinOneCycle)
+TEST(ServerSim, RejectsStrictClientsAndNonFiniteUplinks)
 {
-    // Strict solo uses the nominal-plan closed form
-    // (ceil(bytes * cpb)) while the server integrates the engine
-    // (bytes / (1/cpb)); the two roundings may differ by one cycle.
-    // Under a fault plan both sides run the same engine arithmetic.
+    // The server serves only overlapped clients (the strict baseline
+    // is a solo runReplay): a Strict client anywhere in the fleet is
+    // rejected at entry.
     const SimContext &ctx = zipperCtx();
     EqualShareAllocator equal;
-    for (bool faulted : {false, true}) {
-        SimConfig cfg = baseConfig(SimConfig::Mode::Strict, kT1Link);
-        if (faulted)
-            cfg.faults = faultyPlan();
-        SimResult ref = runReplay(ctx, cfg, nullptr);
+    ServerOptions opts;
+    opts.uplinkBytesPerCycle = linkRate(kT1Link);
+    opts.allocator = &equal;
+    SimConfig par = baseConfig(SimConfig::Mode::Parallel, kT1Link);
+    SimConfig strict = baseConfig(SimConfig::Mode::Strict, kT1Link);
+    EXPECT_THROW(runServer({{&ctx, strict, 1.0, "s"}}, opts), FatalError);
+    EXPECT_THROW(runServer({{&ctx, par, 1.0, "p"}, {&ctx, strict, 1.0, "s"}},
+                           opts),
+                 FatalError);
+    EXPECT_NO_THROW(runServer({{&ctx, par, 1.0, "p"}}, opts));
 
-        ServerOptions opts;
-        opts.uplinkBytesPerCycle = linkRate(cfg.link);
-        opts.allocator = &equal;
-        ServerResult sr = runServer({{&ctx, cfg, 1.0, "only"}}, opts);
-
-        const SimResult &got = sr.clients[0].sim;
-        std::string what = faulted ? "strict faulted" : "strict nominal";
-        auto near = [&](uint64_t a, uint64_t b) {
-            return a > b ? a - b <= 1 : b - a <= 1;
-        };
-        EXPECT_TRUE(near(got.invocationLatency, ref.invocationLatency))
-            << what << " " << got.invocationLatency << " vs "
-            << ref.invocationLatency;
-        EXPECT_TRUE(near(got.totalCycles, ref.totalCycles))
-            << what << " " << got.totalCycles << " vs "
-            << ref.totalCycles;
-        EXPECT_TRUE(near(got.stallCycles, ref.stallCycles))
-            << what << " " << got.stallCycles << " vs "
-            << ref.stallCycles;
-        EXPECT_EQ(got.execCycles, ref.execCycles) << what;
-        EXPECT_EQ(got.transferCycles, ref.transferCycles) << what;
-        EXPECT_EQ(got.retryCount, ref.retryCount) << what;
+    // The uplink capacity must be finite and positive.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {inf, std::numeric_limits<double>::quiet_NaN(), 0.0,
+                       -1.0}) {
+        opts.uplinkBytesPerCycle = bad;
+        EXPECT_THROW(runServer({{&ctx, par, 1.0, "p"}}, opts), FatalError)
+            << bad;
     }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "obs/event.h"
 #include "support/error.h"
@@ -148,6 +149,21 @@ TEST(Engine, EmptyStreamRejected)
 {
     TransferEngine e(kCpb, -1);
     EXPECT_THROW(e.addStream("zero", 0), FatalError);
+}
+
+TEST(Engine, NonFiniteExternalRateRejected)
+{
+    // An infinite share would "finish" a 1000-byte stream at 10
+    // cycles/byte in one cycle instead of 10000.
+    TransferEngine e(10.0, -1);
+    int s = e.addStream("a", 1000);
+    e.scheduleStart(s, 0);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad :
+         {inf, -inf, std::numeric_limits<double>::quiet_NaN(), -1.0})
+        EXPECT_THROW(e.setExternalRate(bad), FatalError) << bad;
+    EXPECT_DOUBLE_EQ(e.externalRate(), 1.0);
+    EXPECT_EQ(e.finishAll(), 10'000u);
 }
 
 TEST(Engine, LateScheduledStartWaitsForSlot)

@@ -49,6 +49,7 @@
 #include "server/server_sim.h"
 #include "sim/context.h"
 #include "sim/replay.h"
+#include "support/saturate.h"
 #include "workloads/workload.h"
 
 using namespace nse;
@@ -83,24 +84,48 @@ parseOrder(const std::string &s)
     fatal("unknown ordering: ", s);
 }
 
+/** The static plan every audit of one (workload, layout key) cell
+ *  checks: the layout's stream demand and the memoized greedy
+ *  schedule against `link`. */
+struct CellPlan
+{
+    const FirstUseOrder &order;
+    const TransferLayout &layout;
+    const DataPartition *part;
+    StreamDemand demand;
+    const TransferSchedule &sched;
+};
+
+CellPlan
+planCell(const SimContext &ctx, const LayoutKey &key, const LinkModel &link)
+{
+    const FirstUseOrder &order = ctx.ordering(key.ordering);
+    const TransferLayout &layout = ctx.layout(key);
+    return {order, layout,
+            key.partitioned ? &ctx.partition(key.ordering) : nullptr,
+            deriveStreamDemand(ctx.program(), order, layout,
+                               ctx.methodCycles(key.ordering)),
+            ctx.schedule(ScheduleKey{key, link.cyclesPerByte, 4})};
+}
+
+/** Audit the cell's layout against `sched` and `demand`. */
+AuditReport
+auditPlan(const SimContext &ctx, const CellPlan &plan,
+          const TransferSchedule &sched, const StreamDemand &demand,
+          const LinkModel &link)
+{
+    ScheduleAuditInput sin{sched, demand, link};
+    return auditNonStrictSafety(ctx.program(), ctx.callGraph(),
+                                plan.order, plan.layout, plan.part, &sin);
+}
+
 /** Audit one (workload, layout key) cell against `link`. */
 AuditReport
 auditCell(const SimContext &ctx, const LayoutKey &key,
           const LinkModel &link)
 {
-    const Program &prog = ctx.program();
-    const FirstUseOrder &order = ctx.ordering(key.ordering);
-    const TransferLayout &layout = ctx.layout(key);
-    const DataPartition *part =
-        key.partitioned ? &ctx.partition(key.ordering) : nullptr;
-
-    StreamDemand demand = deriveStreamDemand(
-        prog, order, layout, ctx.methodCycles(key.ordering));
-    TransferSchedule sched = buildGreedySchedule(
-        layout, demand, link, /*limit=*/4);
-    ScheduleAuditInput sin{sched, demand, link};
-    return auditNonStrictSafety(prog, ctx.callGraph(), order, layout,
-                                part, &sin);
+    CellPlan plan = planCell(ctx, key, link);
+    return auditPlan(ctx, plan, plan.sched, plan.demand, link);
 }
 
 /**
@@ -120,16 +145,8 @@ AuditReport
 auditRunaheadCell(const SimContext &ctx, const LayoutKey &key,
                   const LinkModel &link)
 {
-    const Program &prog = ctx.program();
-    const FirstUseOrder &order = ctx.ordering(key.ordering);
-    const TransferLayout &layout = ctx.layout(key);
-    const DataPartition *part =
-        key.partitioned ? &ctx.partition(key.ordering) : nullptr;
-
-    StreamDemand demand = deriveStreamDemand(
-        prog, order, layout, ctx.methodCycles(key.ordering));
-    TransferSchedule sched = buildGreedySchedule(
-        layout, demand, link, /*limit=*/4);
+    CellPlan plan = planCell(ctx, key, link);
+    TransferSchedule sched = plan.sched;
 
     SimConfig cfg;
     cfg.mode = SimConfig::Mode::Parallel;
@@ -137,7 +154,6 @@ auditRunaheadCell(const SimContext &ctx, const LayoutKey &key,
     cfg.link = link;
     cfg.dataPartition = key.partitioned;
     cfg.runaheadDepth = 32;
-    cfg.runaheadK = 4;
     EventTrace trace;
     runReplay(ctx, cfg, &trace);
     for (const ObsEvent &ev : trace.events()) {
@@ -146,16 +162,7 @@ auditRunaheadCell(const SimContext &ctx, const LayoutKey &key,
             continue;
         sched.startCycle[static_cast<size_t>(ev.stream)] = ev.a;
     }
-    ScheduleAuditInput sin{sched, demand, link};
-    return auditNonStrictSafety(prog, ctx.callGraph(), order, layout,
-                                part, &sin);
-}
-
-/** a + b, saturating at UINT64_MAX (never-used deadlines stay never). */
-uint64_t
-satAdd(uint64_t a, uint64_t b)
-{
-    return a > UINT64_MAX - b ? UINT64_MAX : a + b;
+    return auditPlan(ctx, plan, sched, plan.demand, link);
 }
 
 /**
@@ -174,16 +181,7 @@ AuditReport
 auditEdgeCacheCell(const SimContext &ctx, const LayoutKey &key,
                    const LinkModel &link)
 {
-    const Program &prog = ctx.program();
-    const FirstUseOrder &order = ctx.ordering(key.ordering);
-    const TransferLayout &layout = ctx.layout(key);
-    const DataPartition *part =
-        key.partitioned ? &ctx.partition(key.ordering) : nullptr;
-
-    StreamDemand demand = deriveStreamDemand(
-        prog, order, layout, ctx.methodCycles(key.ordering));
-    TransferSchedule sched = buildGreedySchedule(
-        layout, demand, link, /*limit=*/4);
+    CellPlan plan = planCell(ctx, key, link);
 
     SimConfig cfg;
     cfg.mode = key.parallel ? SimConfig::Mode::Parallel
@@ -216,15 +214,13 @@ auditEdgeCacheCell(const SimContext &ctx, const LayoutKey &key,
     AuditReport merged;
     for (const ServerClientResult &client : server.clients) {
         uint64_t shift = client.admitted - client.arrival;
-        TransferSchedule shifted = sched;
+        TransferSchedule shifted = plan.sched;
         for (uint64_t &start : shifted.startCycle)
             start = satAdd(start, shift);
-        StreamDemand sdemand = demand;
+        StreamDemand sdemand = plan.demand;
         for (uint64_t &deadline : sdemand.deadline)
             deadline = satAdd(deadline, shift);
-        ScheduleAuditInput sin{shifted, sdemand, link};
-        AuditReport one = auditNonStrictSafety(
-            prog, ctx.callGraph(), order, layout, part, &sin);
+        AuditReport one = auditPlan(ctx, plan, shifted, sdemand, link);
         merged.diags.insert(merged.diags.end(), one.diags.begin(),
                             one.diags.end());
         merged.errorCount += one.errorCount;
@@ -232,6 +228,22 @@ auditEdgeCacheCell(const SimContext &ctx, const LayoutKey &key,
         merged.infoCount += one.infoCount;
     }
     return merged;
+}
+
+/** Print one cell's summary line, and its diagnostics (plus JSON
+ *  when asked) if it failed. Returns whether it failed. */
+bool
+printCell(const std::string &label, const AuditReport &report, bool json)
+{
+    std::cout << label << ": " << report.errorCount << " error(s), "
+              << report.warningCount << " warning(s), "
+              << report.infoCount << " info(s)\n";
+    if (report.ok())
+        return false;
+    std::cout << report.render();
+    if (json)
+        std::cout << report.toJson();
+    return true;
 }
 
 int
@@ -249,50 +261,22 @@ runGrid(bool json)
                 key.parallel = true;
                 key.ordering = src;
                 key.partitioned = partitioned;
-                const char *mode =
-                    partitioned ? "partitioned" : "reordered";
-                AuditReport report = auditCell(ctx, key, kT1Link);
-                std::cout << w.name << " " << orderingName(src) << " "
-                          << mode << ": " << report.errorCount
-                          << " error(s), " << report.warningCount
-                          << " warning(s), " << report.infoCount
-                          << " info(s)\n";
-                if (!report.ok()) {
-                    ++failures;
-                    std::cout << report.render();
-                    if (json)
-                        std::cout << report.toJson();
-                }
-                AuditReport ra = auditRunaheadCell(ctx, key, kT1Link);
-                std::cout << w.name << " " << orderingName(src) << " "
-                          << mode << " runahead: " << ra.errorCount
-                          << " error(s), " << ra.warningCount
-                          << " warning(s), " << ra.infoCount
-                          << " info(s)\n";
-                if (!ra.ok()) {
-                    ++failures;
-                    std::cout << ra.render();
-                    if (json)
-                        std::cout << ra.toJson();
-                }
+                std::string cell =
+                    cat(w.name, " ", orderingName(src), " ",
+                        partitioned ? "partitioned" : "reordered");
+                failures += printCell(cell, auditCell(ctx, key, kT1Link),
+                                      json);
+                failures += printCell(
+                    cell + " runahead",
+                    auditRunaheadCell(ctx, key, kT1Link), json);
                 // The same cell as a single interleaved virtual file —
                 // the other layout family the edge cache serves.
                 // Runahead reprioritization is a parallel-stream
                 // concept, so no runahead audit here.
                 LayoutKey ikey = key;
                 ikey.parallel = false;
-                AuditReport ir = auditCell(ctx, ikey, kT1Link);
-                std::cout << w.name << " " << orderingName(src) << " "
-                          << mode << " interleaved: " << ir.errorCount
-                          << " error(s), " << ir.warningCount
-                          << " warning(s), " << ir.infoCount
-                          << " info(s)\n";
-                if (!ir.ok()) {
-                    ++failures;
-                    std::cout << ir.render();
-                    if (json)
-                        std::cout << ir.toJson();
-                }
+                failures += printCell(cell + " interleaved",
+                                      auditCell(ctx, ikey, kT1Link), json);
             }
         }
         // One edge-cached-fleet cell per workload: cold cache,
@@ -301,16 +285,9 @@ runGrid(bool json)
         LayoutKey ckey;
         ckey.parallel = true;
         ckey.ordering = OrderingSource::Train;
-        AuditReport ec = auditEdgeCacheCell(ctx, ckey, kT1Link);
-        std::cout << w.name << " train reordered edge-cache fleet: "
-                  << ec.errorCount << " error(s), " << ec.warningCount
-                  << " warning(s), " << ec.infoCount << " info(s)\n";
-        if (!ec.ok()) {
-            ++failures;
-            std::cout << ec.render();
-            if (json)
-                std::cout << ec.toJson();
-        }
+        failures +=
+            printCell(cat(w.name, " train reordered edge-cache fleet"),
+                      auditEdgeCacheCell(ctx, ckey, kT1Link), json);
     }
     if (failures) {
         std::cout << failures << " configuration(s) failed the audit\n";
