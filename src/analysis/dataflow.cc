@@ -24,10 +24,16 @@
  *    callee maxExec bounds become finite, and every intermediate
  *    max-side value over-approximates the truth — so the fixpoint is
  *    sound and iteration terminates.
+ *  - The solver visits the call graph's strongly connected components
+ *    callees-first and iterates only inside a recursive component.
+ *    Every fair order of a monotone system reaches the same fixpoint
+ *    from the same start, so the order changes the work, never the
+ *    summaries.
  */
 
 #include "analysis/dataflow.h"
 
+#include <deque>
 #include <sstream>
 
 #include "support/error.h"
@@ -39,10 +45,6 @@ namespace nse
 
 namespace
 {
-
-/** Summary lookup shared by the per-method problems: the fixpoint's
- *  current (pessimistic-side) view of every method. */
-using SummaryMap = std::map<MethodId, MethodUseSummary>;
 
 const MethodUseSummary &
 pessimisticSummary()
@@ -83,28 +85,25 @@ struct UseDistanceProblem
 
     static constexpr DataflowDir dir = DataflowDir::Backward;
 
-    const Program &prog;
-    const CallGraph &cg;
-    const SummaryMap &summaries;
+    /** The fixpoint's current (pessimistic-side) view of every
+     *  method's summary. */
+    const UseAnalysis &current;
     const std::vector<DInst> &plain;
     /** Call sites of this method keyed by instruction index. */
     std::map<uint32_t, const CallSite *> siteAt;
 
-    UseDistanceProblem(const Program &p, const CallGraph &g,
-                       const SummaryMap &sums, MethodId id,
+    UseDistanceProblem(const UseAnalysis &ua, const MethodNode &node,
                        const std::vector<DInst> &plain_stream)
-        : prog(p), cg(g), summaries(sums), plain(plain_stream)
+        : current(ua), plain(plain_stream)
     {
-        for (const CallSite &s : cg.node(id).sites)
+        for (const CallSite &s : node.sites)
             siteAt.emplace(s.instIndex, &s);
     }
 
     const MethodUseSummary &
     summaryOf(MethodId id) const
     {
-        auto it = summaries.find(id);
-        return it == summaries.end() ? pessimisticSummary()
-                                     : it->second;
+        return current.summary(id);
     }
 
     State
@@ -291,13 +290,12 @@ struct UseDistanceProblem
 };
 
 MethodUseSummary
-solveMethod(const Program &prog, const CallGraph &cg,
-            const SummaryMap &summaries, MethodId id, const Cfg &cfg,
-            const DecodedMethod &dm)
+solveMethod(const UseAnalysis &current, const MethodNode &node,
+            const Cfg &cfg, const DecodedMethod &dm)
 {
     NSE_ASSERT(dm.plain.size() == cfg.insts.size(),
                "decoded plain stream out of step with the CFG");
-    UseDistanceProblem prob(prog, cg, summaries, id, dm.plain);
+    UseDistanceProblem prob(current, node, dm.plain);
     auto solved = solveDataflow(cfg, prob);
     MethodUseSummary s;
     s.uses = std::move(solved.in[0].uses);
@@ -330,13 +328,86 @@ nativeSummary(const Program &prog, MethodId id,
     return s;
 }
 
+/**
+ * Strongly connected components of a dense graph by Tarjan's
+ * algorithm, with an explicit DFS stack so chain depth cannot
+ * overflow the call stack. Components come out callees-first: every
+ * edge leaving a component points into one emitted before it.
+ */
+struct Condensation
+{
+    /** Nodes grouped by component, components in emission order. */
+    std::vector<uint32_t> nodes;
+    /** Component c holds nodes[begin[c] .. begin[c + 1]). */
+    std::vector<uint32_t> begin;
+    /** Component of every node. */
+    std::vector<uint32_t> compOf;
+};
+
+Condensation
+condense(const std::vector<std::vector<uint32_t>> &succs)
+{
+    constexpr uint32_t kUnseen = UINT32_MAX;
+    uint32_t n = static_cast<uint32_t>(succs.size());
+    Condensation out;
+    out.compOf.assign(n, kUnseen);
+    out.nodes.reserve(n);
+    std::vector<uint32_t> order(n, kUnseen), low(n, 0);
+    std::vector<uint32_t> open; // Tarjan's stack of unassigned nodes
+    std::vector<std::pair<uint32_t, size_t>> dfs;
+    uint32_t next = 0;
+    auto discover = [&](uint32_t v) {
+        order[v] = low[v] = next++;
+        open.push_back(v);
+        dfs.emplace_back(v, 0);
+    };
+    for (uint32_t root = 0; root < n; ++root) {
+        if (order[root] != kUnseen)
+            continue;
+        discover(root);
+        while (!dfs.empty()) {
+            auto [v, i] = dfs.back();
+            if (i < succs[v].size()) {
+                ++dfs.back().second;
+                uint32_t w = succs[v][i];
+                if (order[w] == kUnseen)
+                    discover(w);
+                else if (out.compOf[w] == kUnseen) // still open
+                    low[v] = std::min(low[v], order[w]);
+                continue;
+            }
+            dfs.pop_back();
+            if (!dfs.empty()) {
+                uint32_t parent = dfs.back().first;
+                low[parent] = std::min(low[parent], low[v]);
+            }
+            if (low[v] != order[v])
+                continue;
+            uint32_t comp = static_cast<uint32_t>(out.begin.size());
+            out.begin.push_back(static_cast<uint32_t>(out.nodes.size()));
+            uint32_t w;
+            do {
+                w = open.back();
+                open.pop_back();
+                out.compOf[w] = comp;
+                out.nodes.push_back(w);
+            } while (w != v);
+        }
+    }
+    out.begin.push_back(static_cast<uint32_t>(out.nodes.size()));
+    return out;
+}
+
 } // namespace
 
 const MethodUseSummary &
 UseAnalysis::summary(MethodId id) const
 {
-    auto it = summaries_.find(id);
-    return it == summaries_.end() ? pessimisticSummary() : it->second;
+    if (id.classIdx >= slot_.size() ||
+        id.methodIdx >= slot_[id.classIdx].size() ||
+        slot_[id.classIdx][id.methodIdx] == kNoSlot)
+        return pessimisticSummary();
+    return summaries_[slot_[id.classIdx][id.methodIdx]];
 }
 
 UseFact
@@ -368,48 +439,78 @@ analyzeUse(const Program &prog, const CallGraph &cg,
 {
     UseAnalysis ua;
 
-    // RTA-reachable methods only: everything else can never fire a
-    // first-use hook in any run, so it needs no summary (and the
-    // property `may subset-of RTA-reachable` holds by construction).
+    // RTA-reachable methods only, densely numbered: everything else
+    // can never fire a first-use hook in any run, so it needs no
+    // summary (and the property `may subset-of RTA-reachable` holds by
+    // construction). Bytecode methods start from the pessimistic
+    // summary the solver refines; natives are constant.
     std::vector<MethodId> methods;
-    std::map<MethodId, Cfg> cfgs;
+    ua.slot_.resize(prog.classCount());
     for (uint16_t c = 0; c < prog.classCount(); ++c) {
         uint16_t mcount =
             static_cast<uint16_t>(prog.classAt(c).methods.size());
+        ua.slot_[c].assign(mcount, UseAnalysis::kNoSlot);
         for (uint16_t m = 0; m < mcount; ++m) {
             MethodId id{c, m};
             if (!cg.rtaReachable(id))
                 continue;
+            ua.slot_[c][m] = static_cast<uint32_t>(methods.size());
             methods.push_back(id);
-            if (cg.node(id).native)
-                ua.summaries_.emplace(id,
-                                      nativeSummary(prog, id, natives));
-            else
-                cfgs.emplace(id, buildCfg(prog, id));
+            ua.summaries_.push_back(cg.node(id).native
+                                        ? nativeSummary(prog, id, natives)
+                                        : pessimisticSummary());
         }
     }
 
-    // Interprocedural fixpoint: re-solve every bytecode method until
-    // no summary moves. Monotone per component (see file comment), so
-    // this terminates; bodies are small and methods few, so the naive
-    // round-robin is cheap.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        ++ua.iterations_;
-        for (MethodId id : methods) {
-            auto cfg_it = cfgs.find(id);
-            if (cfg_it == cfgs.end())
-                continue; // native: summary is constant
+    // Caller -> callee edges over the RTA dispatch candidates, and
+    // their reverse for re-queueing callers inside a component.
+    size_t n = methods.size();
+    std::vector<std::vector<uint32_t>> callees(n), callers(n);
+    for (uint32_t v = 0; v < n; ++v) {
+        for (const CallSite &site : cg.node(methods[v]).sites)
+            for (MethodId t : site.rtaTargets)
+                callees[v].push_back(ua.slot_[t.classIdx][t.methodIdx]);
+        std::sort(callees[v].begin(), callees[v].end());
+        callees[v].erase(
+            std::unique(callees[v].begin(), callees[v].end()),
+            callees[v].end());
+        for (uint32_t w : callees[v])
+            callers[w].push_back(v);
+    }
+
+    // Solve components callees-first, so every call out of a
+    // component reads a final summary. Inside one, re-solve a method
+    // only when an in-component callee's summary moved; a
+    // non-recursive method is solved exactly once.
+    Condensation sccs = condense(callees);
+    std::vector<Cfg> cfgs(n);
+    std::vector<uint8_t> queued(n, 0);
+    std::deque<uint32_t> work;
+    for (size_t c = 0; c + 1 < sccs.begin.size(); ++c) {
+        for (uint32_t k = sccs.begin[c]; k < sccs.begin[c + 1]; ++k) {
+            uint32_t v = sccs.nodes[k];
+            if (cg.node(methods[v]).native)
+                continue; // summary is constant
+            cfgs[v] = buildCfg(prog, methods[v]);
+            work.push_back(v);
+            queued[v] = 1;
+        }
+        while (!work.empty()) {
+            uint32_t v = work.front();
+            work.pop_front();
+            queued[v] = 0;
+            ++ua.iterations_;
             MethodUseSummary next =
-                solveMethod(prog, cg, ua.summaries_, id,
-                            cfg_it->second, decoded.get(id));
-            auto [it, fresh] =
-                ua.summaries_.emplace(id, MethodUseSummary{});
-            if (fresh || !(it->second == next)) {
-                it->second = std::move(next);
-                changed = true;
-            }
+                solveMethod(ua, cg.node(methods[v]), cfgs[v],
+                            decoded.get(methods[v]));
+            if (ua.summaries_[v] == next)
+                continue;
+            ua.summaries_[v] = std::move(next);
+            for (uint32_t u : callers[v])
+                if (sccs.compOf[u] == c && !queued[u]) {
+                    work.push_back(u);
+                    queued[u] = 1;
+                }
         }
     }
 

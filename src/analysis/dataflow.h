@@ -17,7 +17,8 @@
  *     method *may* use (on some path) and *must* use (on every
  *     terminating path), with execution-cycle distances accumulated
  *     from the baked `DInst` per-opcode costs, composed
- *     interprocedurally over the RTA call graph to a fixpoint. The
+ *     interprocedurally over the RTA call graph to a fixpoint, one
+ *     strongly connected component at a time, callees first. The
  *     distances speak the replay clock's language exactly: a first-use
  *     hook for callee `t` fires at `execClock(use)`, and the analysis
  *     guarantees
@@ -246,8 +247,10 @@ struct MethodUseSummary
 /**
  * Must-use / may-use distance analysis: intraprocedural solve per
  * method through `solveDataflow`, composed over the RTA call graph to
- * a fixpoint. Build once per (program, call graph) via
- * `analyzeUse()`; all accessors are const.
+ * a fixpoint. The call graph's strongly connected components are
+ * solved callees-first, so a non-recursive method is solved exactly
+ * once and only a recursive cycle iterates. Build once per (program,
+ * call graph) via `analyzeUse()`; all accessors are const.
  */
 class UseAnalysis
 {
@@ -267,7 +270,11 @@ class UseAnalysis
     /** Global fact for one method; empty/never fact if unreachable. */
     UseFact globalOf(MethodId id) const;
 
-    /** Interprocedural fixpoint passes (diagnostics/tests). */
+    /**
+     * Method solves the fixpoint ran: one per RTA-reachable bytecode
+     * method, plus every re-solve inside a recursive cycle. A
+     * deterministic work counter (diagnostics/tests).
+     */
     size_t iterations() const { return iterations_; }
 
     /** Human-readable dump of the global view (debugging). */
@@ -279,7 +286,13 @@ class UseAnalysis
                                   const DecodedCache &decoded,
                                   const NativeRegistry *natives);
 
-    std::map<MethodId, MethodUseSummary> summaries_;
+    static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+    /** Dense index of every RTA-reachable method, by class then
+     *  method index; kNoSlot for the unreachable. */
+    std::vector<std::vector<uint32_t>> slot_;
+    /** Summaries by dense index. */
+    std::vector<MethodUseSummary> summaries_;
     std::map<MethodId, UseFact> global_;
     size_t iterations_ = 0;
 };

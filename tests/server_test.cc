@@ -161,14 +161,11 @@ TEST(ServerSim, OneClientMatchesSoloReplayExactly)
         cases.push_back({"nominal", &zipperCtx(), nominal});
         cases.push_back({"faulted", &zipperCtx(), faulted});
         // SCG and RTA mispredict on RuleEngine, so the demand-fetch
-        // half of the first-use rule runs too. MustUse runs on Zipper:
-        // its use analysis costs about a second on RuleEngine.
+        // half of the first-use rule runs too.
         for (OrderingSource ord :
              {OrderingSource::Static, OrderingSource::RtaStatic,
               OrderingSource::MustUse}) {
-            const SimContext *ctx = ord == OrderingSource::MustUse
-                                        ? &zipperCtx()
-                                        : &ruleEngineCtx();
+            const SimContext *ctx = &ruleEngineCtx();
             for (bool partition : {false, true}) {
                 for (bool classStrict : {false, true}) {
                     for (Case c : {Case{"nominal", ctx, nominal},
