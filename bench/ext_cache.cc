@@ -170,7 +170,6 @@ runExtCache(BenchEnv &env, std::ostream &os)
         opts.uplinkBytesPerCycle = capacity;
         opts.allocator = &equal;
         opts.arrivals = benchArrivals();
-        opts.pool = &env.runner();
         return opts;
     };
 

@@ -177,7 +177,6 @@ runFleet(const BenchEnv &env, size_t n,
     opts.arrivals.kind = ArrivalKind::Uniform;
     opts.arrivals.seed = 1998;
     opts.arrivals.windowCycles = 2'000'000;
-    opts.pool = &env.runner();
     ServerResult res =
         runServer(makeFleet(env.workloads(), n, depth), opts);
     FleetOutcome out;

@@ -182,7 +182,6 @@ runExtServer(BenchEnv &env, std::ostream &os)
             opts.uplinkBytesPerCycle = capacity;
             opts.allocator = alloc.get();
             opts.arrivals = benchArrivals();
-            opts.pool = &env.runner();
             CellOutcome cell = runCell(fleet, opts, soloTotals, metrics);
             t.addRow({cat(n, " clients"), fmtMillions(cell.p50, 2),
                       fmtMillions(cell.p95, 2),
@@ -223,7 +222,6 @@ runExtServer(BenchEnv &env, std::ostream &os)
             opts.uplinkBytesPerCycle = capacity;
             opts.allocator = equal.get();
             opts.arrivals = benchArrivals();
-            opts.pool = &env.runner();
             opts.admissionLimit = limit;
             ServerResult sr = runServer(fleet, opts);
             std::vector<uint64_t> stalls, waits;
@@ -312,7 +310,6 @@ runExtServer(BenchEnv &env, std::ostream &os)
         opts.uplinkBytesPerCycle = capacity;
         opts.allocator = equal.get();
         opts.arrivals = benchArrivals();
-        opts.pool = &env.runner();
         ServerResult sr = runServer(fleet, opts);
 
         Table t({"Class (64 clients, equal)", "Clients",

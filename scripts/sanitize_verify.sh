@@ -5,9 +5,10 @@
 #       test suite — the transfer engine's floating-point byte
 #       accounting is exercised with memory and UB checking on.
 #   scripts/sanitize_verify.sh thread [build-dir]   TSan over the
-#       concurrency-bearing tests: the replay runner pool, the server
-#       event loop (both strategies, sharded), the decoded dispatch
-#       cache, and the edge-cache tier.
+#       concurrency-bearing tests: the replay runner pool and the
+#       decoded dispatch cache. The server event loop and the
+#       edge-cache tier run on one thread; their suites stay in the
+#       subset so that a thread added to either runs under TSan.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 #include "support/error.h"
 #include "vm/verifier.h"
@@ -186,24 +185,6 @@ buildCfg(const Program &prog, MethodId id)
     computeLoopDepths(cfg);
     computeLoopsBelow(cfg);
     return cfg;
-}
-
-std::string
-dumpCfg(const Cfg &cfg)
-{
-    std::ostringstream os;
-    for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-        const BasicBlock &blk = cfg.blocks[b];
-        os << "B" << b << " [" << blk.first << ".." << blk.last
-           << "] depth=" << cfg.loopDepth[b]
-           << " loopsBelow=" << cfg.loopsBelow[b] << " ->";
-        for (uint32_t s : blk.succs)
-            os << " B" << s << (cfg.isBackEdge(static_cast<uint32_t>(b), s)
-                                    ? "(back)"
-                                    : "");
-        os << "\n";
-    }
-    return os.str();
 }
 
 } // namespace nse

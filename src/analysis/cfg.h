@@ -12,7 +12,6 @@
 #define NSE_ANALYSIS_CFG_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "bytecode/instruction.h"
@@ -71,9 +70,6 @@ struct Cfg
  * approximation — the profile-guided path measures the truth).
  */
 Cfg buildCfg(const Program &prog, MethodId id);
-
-/** Render a CFG for diagnostics. */
-std::string dumpCfg(const Cfg &cfg);
 
 } // namespace nse
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Use-distance analysis: the UseDistanceProblem instantiation of the
- * generic solver, plus the interprocedural RTA fixpoint.
+ * Use-distance analysis: the backward per-method UseDistanceProblem
+ * and its worklist solver, plus the interprocedural RTA fixpoint.
  *
  * Soundness shape (full derivation in DESIGN.md §14):
  *
@@ -33,9 +33,11 @@
 
 #include "analysis/dataflow.h"
 
+#include <algorithm>
 #include <deque>
-#include <sstream>
+#include <optional>
 
+#include "analysis/cfg.h"
 #include "support/error.h"
 #include "vm/decoded.h"
 #include "vm/natives.h"
@@ -65,7 +67,14 @@ pessimisticSummary()
  * Backward use-distance problem for one method body. State at a
  * program point = facts about everything used from that point to the
  * method's return, plus the exec-cost interval of getting to the
- * return.
+ * return. solveBackward drives it through:
+ *
+ *   boundary()        the state at a return (a block without
+ *                     successors);
+ *   init()            the seed of every block not yet solved;
+ *   meet(into, from)  the join over a block's successors;
+ *   acrossBackEdge()  the value a back edge carries;
+ *   transfer()        block-exit state -> block-entry state.
  */
 struct UseDistanceProblem
 {
@@ -82,8 +91,6 @@ struct UseDistanceProblem
                    maxExit == o.maxExit;
         }
     };
-
-    static constexpr DataflowDir dir = DataflowDir::Backward;
 
     /** The fixpoint's current (pessimistic-side) view of every
      *  method's summary. */
@@ -149,7 +156,7 @@ struct UseDistanceProblem
         into.maxExit = std::max(into.maxExit, from.maxExit);
     }
 
-    std::optional<State>
+    State
     acrossBackEdge(const State &from) const
     {
         // Loops: the min side flows (shortest-distance fixpoint over
@@ -289,6 +296,77 @@ struct UseDistanceProblem
     }
 };
 
+/**
+ * Worklist solve of one method body; returns the state at the entry
+ * of block 0, the method's entry. Blocks are visited in post order of the forward CFG
+ * (reverse post order of the reversed graph for the loop-free core),
+ * so an acyclic body settles in one pass; a block whose entry or exit
+ * state moved re-dirties its predecessors until the fixpoint.
+ * Termination is the problem's contract: meet/transfer are monotone
+ * on a chain-finite lattice.
+ */
+UseDistanceProblem::State
+solveBackward(const Cfg &cfg, const UseDistanceProblem &prob)
+{
+    using State = UseDistanceProblem::State;
+    size_t n = cfg.blocks.size();
+    std::vector<State> in(n, prob.init()), out(n, prob.init());
+
+    // Post order of the forward CFG via iterative DFS from the entry.
+    std::vector<uint32_t> post;
+    post.reserve(n);
+    {
+        std::vector<uint8_t> seen(n, 0);
+        std::vector<std::pair<uint32_t, size_t>> stack;
+        stack.emplace_back(0, 0);
+        seen[0] = 1;
+        while (!stack.empty()) {
+            auto &[b, next] = stack.back();
+            if (next < cfg.blocks[b].succs.size()) {
+                uint32_t s = cfg.blocks[b].succs[next++];
+                if (!seen[s]) {
+                    seen[s] = 1;
+                    stack.emplace_back(s, 0);
+                }
+            } else {
+                post.push_back(b);
+                stack.pop_back();
+            }
+        }
+    }
+
+    std::vector<uint8_t> dirty(n, 1);
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (uint32_t b : post) {
+            if (!dirty[b])
+                continue;
+            dirty[b] = 0;
+            std::optional<State> acc;
+            for (uint32_t s : cfg.blocks[b].succs) {
+                State v = cfg.isBackEdge(b, s) ? prob.acrossBackEdge(in[s])
+                                               : in[s];
+                if (!acc)
+                    acc = std::move(v);
+                else
+                    prob.meet(*acc, v);
+            }
+            State exit = acc ? std::move(*acc) : prob.boundary();
+            State entry = prob.transfer(cfg, b, exit);
+            bool moved = !(out[b] == exit) || !(in[b] == entry);
+            out[b] = std::move(exit);
+            in[b] = std::move(entry);
+            if (moved) {
+                changed = true;
+                for (uint32_t p : cfg.blocks[b].preds)
+                    dirty[p] = 1;
+            }
+        }
+    }
+    return std::move(in[0]);
+}
+
 MethodUseSummary
 solveMethod(const UseAnalysis &current, const MethodNode &node,
             const Cfg &cfg, const DecodedMethod &dm)
@@ -296,11 +374,11 @@ solveMethod(const UseAnalysis &current, const MethodNode &node,
     NSE_ASSERT(dm.plain.size() == cfg.insts.size(),
                "decoded plain stream out of step with the CFG");
     UseDistanceProblem prob(current, node, dm.plain);
-    auto solved = solveDataflow(cfg, prob);
+    UseDistanceProblem::State entry = solveBackward(cfg, prob);
     MethodUseSummary s;
-    s.uses = std::move(solved.in[0].uses);
-    s.minExec = solved.in[0].minExit;
-    s.maxExec = solved.in[0].maxExit;
+    s.uses = std::move(entry.uses);
+    s.minExec = entry.minExit;
+    s.maxExec = entry.maxExit;
     return s;
 }
 
@@ -415,22 +493,6 @@ UseAnalysis::globalOf(MethodId id) const
 {
     auto it = global_.find(id);
     return it == global_.end() ? UseFact{} : it->second;
-}
-
-std::string
-UseAnalysis::render(const Program &prog) const
-{
-    std::ostringstream os;
-    auto dist = [](uint64_t d) {
-        return d == kDistInf ? std::string("inf") : std::to_string(d);
-    };
-    for (const auto &[id, f] : global_) {
-        const ClassFile &cf = prog.classAt(id.classIdx);
-        os << cf.name() << "." << cf.methodName(prog.method(id))
-           << ": mayMin=" << dist(f.mayMin)
-           << (f.must ? " must<=" + dist(f.mustMax) : " may") << "\n";
-    }
-    return os.str();
 }
 
 UseAnalysis

@@ -33,20 +33,6 @@ icmpOpcode(Cond c)
     panic("unreachable cond");
 }
 
-Opcode
-izeroOpcode(Cond c)
-{
-    switch (c) {
-      case Cond::Eq: return Opcode::IFEQ;
-      case Cond::Ne: return Opcode::IFNE;
-      case Cond::Lt: return Opcode::IFLT;
-      case Cond::Ge: return Opcode::IFGE;
-      case Cond::Gt: return Opcode::IFGT;
-      case Cond::Le: return Opcode::IFLE;
-    }
-    panic("unreachable cond");
-}
-
 CodeBuilder::Label
 CodeBuilder::newLabel()
 {

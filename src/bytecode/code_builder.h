@@ -40,9 +40,6 @@ Cond negate(Cond c);
 /** Map a condition onto the two-operand IF_ICMPxx branch opcode. */
 Opcode icmpOpcode(Cond c);
 
-/** Map a condition onto the compare-against-zero IFxx branch opcode. */
-Opcode izeroOpcode(Cond c);
-
 /**
  * Builds one method's instruction sequence.
  *

@@ -54,16 +54,6 @@ artifactBytes(const SimContext &ctx, const SimConfig &cfg)
     return ctx.layout(layoutKeyOf(cfg)).totalBytes;
 }
 
-const char *
-evictionPolicyName(EvictionPolicy p)
-{
-    switch (p) {
-      case EvictionPolicy::LRU: return "LRU";
-      case EvictionPolicy::LFU: return "LFU";
-    }
-    return "unknown";
-}
-
 EdgeCache::EdgeCache(EdgeCacheOptions opts) : opts_(opts) {}
 
 void

@@ -45,10 +45,8 @@
  *   insertedBytes - evictedBytes == residentBytes
  *   bytesServed == bytesFromOrigin + hit/join-served bytes
  *
- * Thread safety: none. The server event loop mutates the cache only
- * from its serial transition section; the sharded candidate pass uses
- * the const queries (fetchReady / nextFetchStep / time / stats),
- * which are pure reads and safe concurrently with each other.
+ * Thread safety: none. One cache serves one runServer call at a
+ * time, on that call's thread.
  */
 
 #ifndef NSE_CACHE_EDGE_CACHE_H
@@ -120,8 +118,6 @@ enum class EvictionPolicy : uint8_t
     LRU, ///< least recently requested (unique use-sequence numbers)
     LFU, ///< fewest requests; least-recent breaks ties
 };
-
-const char *evictionPolicyName(EvictionPolicy p);
 
 /** Edge-node parameters. */
 struct EdgeCacheOptions

@@ -16,30 +16,6 @@ DataPartition::neededFirstBytes() const
     return sum;
 }
 
-uint64_t
-DataPartition::gmdBytes() const
-{
-    uint64_t sum = 0;
-    for (const auto &c : classes)
-        sum += c.gmdTotal();
-    return sum;
-}
-
-uint64_t
-DataPartition::unusedBytes() const
-{
-    uint64_t sum = 0;
-    for (const auto &c : classes)
-        sum += c.unusedBytes;
-    return sum;
-}
-
-uint64_t
-DataPartition::totalBytes() const
-{
-    return neededFirstBytes() + gmdBytes() + unusedBytes();
-}
-
 DataPartition
 partitionGlobalData(const Program &prog, const FirstUseOrder &order)
 {

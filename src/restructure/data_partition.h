@@ -72,9 +72,6 @@ struct DataPartition
     std::vector<ClassPartition> classes;
 
     uint64_t neededFirstBytes() const;
-    uint64_t gmdBytes() const;
-    uint64_t unusedBytes() const;
-    uint64_t totalBytes() const;
 };
 
 /**

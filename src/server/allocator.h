@@ -21,7 +21,7 @@
  *    allocation probe);
  *  - non-demanding clients receive exactly 0;
  *  - the result is a pure, deterministic function of the arguments
- *    (the server's k-thread == 1-thread determinism depends on it);
+ *    (the server's run-to-run determinism depends on it);
  *  - a single demanding client whose nominal rate fits the capacity
  *    receives exactly its nominal rate, so a one-client server run
  *    reproduces the solo engine bit-for-bit.

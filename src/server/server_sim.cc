@@ -112,6 +112,8 @@ jainFairness(const std::vector<double> &xs)
 uint64_t
 percentile(std::vector<uint64_t> xs, double p)
 {
+    NSE_CHECK(std::isfinite(p) && p >= 0.0 && p <= 100.0,
+              "percentile p must be finite and in [0, 100], got ", p);
     if (xs.empty())
         return 0;
     std::sort(xs.begin(), xs.end());
@@ -241,8 +243,7 @@ setupClient(ClientRt &rt, size_t idx, const ServerOptions &opts)
 
 /** Recompute the client's cached event candidates (global cycles).
  *  `cache` is the run's edge cache (null = cacheless); only the
- *  FetchWait case consults it, through const pure queries, so the
- *  sharded candidate pass stays race-free. */
+ *  FetchWait case consults it. */
 void
 computeCandidates(ClientRt &rt, const EdgeCache *cache)
 {
@@ -339,17 +340,6 @@ runServer(const std::vector<ClientSpec> &clients,
                               : clients[i].name;
         computeCandidates(rts[i], opts.edgeCache);
     }
-
-    bool shard = opts.pool != nullptr && n >= opts.parallelThreshold;
-    auto forEach = [&](const std::vector<size_t> &idx, auto &&fn) {
-        if (shard && idx.size() > 1) {
-            opts.pool->parallelFor(idx.size(),
-                                   [&](size_t k) { fn(idx[k]); });
-        } else {
-            for (size_t k : idx)
-                fn(k);
-        }
-    };
 
     // Priority queue over per-client candidates; unused by the
     // linear-scan reference loop.
@@ -509,12 +499,10 @@ runServer(const std::vector<ClientSpec> &clients,
         ++result.events;
 
         // Integrate every acting engine to T under the rates in
-        // effect since the previous event (per-client state only:
-        // shards deterministically).
-        forEach(actors, [&](size_t i) {
+        // effect since the previous event.
+        for (size_t i : actors)
             if (rts[i].run && !draining(rts[i]))
                 engineAdvance(rts[i], T);
-        });
 
         // Client-level transitions, in index order: arrivals first
         // (so a client arriving at T competes for bandwidth from T
@@ -563,9 +551,8 @@ runServer(const std::vector<ClientSpec> &clients,
 
         // Fresh candidates for everyone who acted, so the demand
         // refresh below sees current next-first-use instants.
-        forEach(actors, [&](size_t i) {
+        for (size_t i : actors)
             computeCandidates(rts[i], opts.edgeCache);
-        });
 
         // Incremental demand: refresh only touched clients, and call
         // the allocator only when its output could actually change.
@@ -616,10 +603,10 @@ runServer(const std::vector<ClientSpec> &clients,
                         retimed.push_back(i);
                     }
                 }
-                forEach(retimed, [&](size_t i) {
+                for (size_t i : retimed) {
                     engineAdvance(rts[i], T);
                     rts[i].run->engine().setExternalRate(rts[i].mult);
-                });
+                }
                 // A retimed engine may have completed streams while
                 // advancing: its demand must be re-read next event.
                 if (!linear)
@@ -635,9 +622,8 @@ runServer(const std::vector<ClientSpec> &clients,
         std::sort(actors.begin(), actors.end());
         actors.erase(std::unique(actors.begin(), actors.end()),
                      actors.end());
-        forEach(actors, [&](size_t i) {
+        for (size_t i : actors)
             computeCandidates(rts[i], opts.edgeCache);
-        });
         if (!linear)
             for (size_t i : actors)
                 pushCandidate(i);

@@ -58,10 +58,9 @@
  * (tests/server_test.cc pins this), and a fleet whose uplink never
  * saturates reproduces every client's solo result simultaneously.
  *
- * Scaling: per-event engine advancement and candidate recomputation
- * touch only per-client state, so they shard across an
- * ExperimentRunner pool; allocation itself is a serial fold in client
- * index order. Results are bit-identical for any thread count.
+ * Threading: a run is single-threaded. Every per-event pass (engine
+ * advancement, transitions, candidate recomputation, allocation,
+ * retiming) walks its clients in index order on the calling thread.
  *
  * Observability: each client can be given its own EventSink; it sees
  * the same event stream a solo runReplay would emit (engine lifecycle
@@ -82,7 +81,6 @@
 #include "server/allocator.h"
 #include "server/arrivals.h"
 #include "sim/replay.h"
-#include "sim/runner.h"
 
 namespace nse
 {
@@ -142,16 +140,10 @@ struct ServerOptions
      * then does the client's replay epoch begin. The client-local
      * SimResult therefore stays field-for-field solo-comparable; the
      * delay is visible as ServerClientResult::cacheWait (and inside
-     * finished - arrival). The cache is mutated only from the event
-     * loop's serial transition section, so one cache may serve many
-     * sequential runServer calls but never concurrent ones.
+     * finished - arrival). One cache may serve many sequential
+     * runServer calls but never concurrent ones.
      */
     EdgeCache *edgeCache = nullptr;
-    /** Optional pool for sharding per-client work; null = serial. */
-    const ExperimentRunner *pool = nullptr;
-    /** Minimum client count before the pool engages (per-event
-     *  sharding has fixed overhead; small fleets run serial). */
-    size_t parallelThreshold = 128;
     /**
      * Per-client observer factory (obs/event.h); null = unobserved.
      * Called once per client at its admission, from the event loop
@@ -201,7 +193,7 @@ struct ServerResult
      *  the water-filling 1e-12 relative tolerance). */
     uint64_t allocationIntervals = 0;
     /** Global events the loop processed (identical across loop
-     *  strategies and thread counts). */
+     *  strategies). */
     uint64_t events = 0;
     /** Allocator invocations. The priority-queue loop skips calls
      *  whose output provably cannot change, so this is its measure
@@ -230,7 +222,8 @@ linkRate(const LinkModel &link)
  */
 double jainFairness(const std::vector<double> &xs);
 
-/** The p-th percentile (0..100, nearest-rank) of xs; 0 when empty. */
+/** The p-th percentile (nearest-rank) of xs; 0 when empty. Raises
+ *  FatalError unless p is finite and in [0, 100]. */
 uint64_t percentile(std::vector<uint64_t> xs, double p);
 
 } // namespace nse

@@ -14,8 +14,7 @@
  *  - in-flight fetches are joined, never duplicated;
  *  - eviction accounting balances exactly (the identities in
  *    cache/edge_cache.h) under both LRU and LFU, and an artifact
- *    larger than the whole capacity is served but never retained;
- *  - results are bit-identical for any thread count.
+ *    larger than the whole capacity is served but never retained.
  */
 
 #include <gtest/gtest.h>
@@ -433,56 +432,6 @@ TEST(CacheTier, ColdFleetSharesFetchesAndBalances)
         EXPECT_EQ(c.finished, c.admitted + c.sim.totalCycles);
         EXPECT_TRUE(c.cacheHit == (c.cacheWait == 0));
     }
-}
-
-TEST(CacheTier, ThreadCountDoesNotChangeResults)
-{
-    std::vector<ClientSpec> fleet = mixedFleet(96);
-    EqualShareAllocator equal;
-    ServerOptions base;
-    base.uplinkBytesPerCycle = 2.0 * linkRate(kT1Link);
-    base.allocator = &equal;
-    base.arrivals.kind = ArrivalKind::Uniform;
-    base.arrivals.seed = 7;
-    base.arrivals.windowCycles = 2'000'000;
-    base.parallelThreshold = 1;
-
-    EdgeCacheOptions copts;
-    copts.capacityBytes = 3 * zipperCtx().totalBytes();
-
-    EdgeCache serialCache(copts);
-    ServerOptions serial = base;
-    serial.edgeCache = &serialCache;
-    ServerResult a = runServer(fleet, serial);
-
-    ExperimentRunner pool(4);
-    EdgeCache pooledCache(copts);
-    ServerOptions pooled = base;
-    pooled.edgeCache = &pooledCache;
-    pooled.pool = &pool;
-    ServerResult b = runServer(fleet, pooled);
-
-    ASSERT_EQ(a.clients.size(), b.clients.size());
-    for (size_t i = 0; i < a.clients.size(); ++i) {
-        expectSameResult(a.clients[i].sim, b.clients[i].sim,
-                         cat("client ", i));
-        EXPECT_EQ(a.clients[i].admitted, b.clients[i].admitted) << i;
-        EXPECT_EQ(a.clients[i].finished, b.clients[i].finished) << i;
-        EXPECT_EQ(a.clients[i].cacheWait, b.clients[i].cacheWait) << i;
-        EXPECT_EQ(a.clients[i].cacheHit, b.clients[i].cacheHit) << i;
-    }
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.events, b.events);
-    const EdgeCacheStats &sa = serialCache.stats();
-    const EdgeCacheStats &sb = pooledCache.stats();
-    EXPECT_EQ(sa.requests, sb.requests);
-    EXPECT_EQ(sa.hits, sb.hits);
-    EXPECT_EQ(sa.fetches, sb.fetches);
-    EXPECT_EQ(sa.joins, sb.joins);
-    EXPECT_EQ(sa.evictions, sb.evictions);
-    EXPECT_EQ(sa.residentBytes, sb.residentBytes);
-    expectBalanced(sa);
-    expectBalanced(sb);
 }
 
 } // namespace

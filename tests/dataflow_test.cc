@@ -1,6 +1,6 @@
 /**
  * @file
- * Dataflow framework + use-distance analysis tests.
+ * Use-distance analysis tests.
  *
  * The load-bearing checks are the soundness pins against recorded
  * execution traces: for every first-use event the hook clock must sit
@@ -16,7 +16,6 @@
 #include <set>
 
 #include "analysis/callgraph.h"
-#include "analysis/cfg.h"
 #include "analysis/dataflow.h"
 #include "analysis/first_use.h"
 #include "program/builder.h"
@@ -33,66 +32,6 @@ namespace nse
 {
 namespace
 {
-
-/**
- * Minimal forward problem for the generic solver: minimum decoded
- * cost from the method entry to each block entry, back edges dropped
- * (a DAG shortest path — enough to exercise direction, meet, and the
- * back-edge hook).
- */
-struct MinCostProblem
-{
-    using State = uint64_t;
-    static constexpr DataflowDir dir = DataflowDir::Forward;
-    const std::vector<DInst> &plain;
-
-    State boundary() const { return 0; }
-    State init() const { return kDistInf; }
-
-    void
-    meet(State &into, const State &from) const
-    {
-        into = std::min(into, from);
-    }
-
-    std::optional<State>
-    acrossBackEdge(const State &) const
-    {
-        return std::nullopt;
-    }
-
-    State
-    transfer(const Cfg &cfg, uint32_t block, const State &in) const
-    {
-        if (in == kDistInf)
-            return in;
-        State s = in;
-        const BasicBlock &b = cfg.blocks[block];
-        for (uint32_t i = b.first; i <= b.last; ++i)
-            s = distAdd(s, plain[i].cost);
-        return s;
-    }
-};
-
-TEST(DataflowEngine, ForwardMinCostReachesEveryBlock)
-{
-    Workload w = makeWorkload("Hanoi");
-    DecodedCache dc(w.program);
-    MethodId entry = w.program.entry();
-    Cfg cfg = buildCfg(w.program, entry);
-    MinCostProblem prob{dc.get(entry).plain};
-    auto r = solveDataflow(cfg, prob);
-    ASSERT_EQ(r.in.size(), cfg.blocks.size());
-    // Entry block sees the boundary value; every DFS-reachable block
-    // gets a finite distance; costs only grow along the block.
-    EXPECT_EQ(r.in[0], 0u);
-    for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-        if (r.in[b] == kDistInf)
-            continue;
-        EXPECT_LE(r.in[b], r.out[b]);
-    }
-    EXPECT_GE(r.iterations, 1u);
-}
 
 /** Shared soundness pins for one analyzed, traced program. */
 void

@@ -7,7 +7,6 @@
  *    whole module is designed around);
  *  - a fleet whose uplink never saturates reproduces every client's
  *    solo result simultaneously;
- *  - results are bit-identical for any thread count;
  *  - at every allocation instant the rates conserve uplink capacity
  *    and respect per-client nominal caps;
  *  - allocator policies order outcomes the way they promise
@@ -296,67 +295,6 @@ TEST(ServerSim, AmpleUplinkReproducesEverySoloResult)
     }
 }
 
-TEST(ServerSim, ThreadCountDoesNotChangeResults)
-{
-    // k-thread == 1-thread, byte for byte: every result field and
-    // every observed event. parallelThreshold = 1 forces the pool
-    // onto every per-event phase even for this small fleet.
-    std::vector<ClientSpec> clients;
-    SimConfig parallel = baseConfig(SimConfig::Mode::Parallel, kT1Link);
-    SimConfig faulted = baseConfig(SimConfig::Mode::Parallel, kT1Link);
-    faulted.faults = faultyPlan();
-    SimConfig inter = baseConfig(SimConfig::Mode::Interleaved, kT1Link);
-    for (int i = 0; i < 2; ++i) {
-        clients.push_back({&zipperCtx(), parallel, 1.0,
-                           cat("par-", i)});
-        clients.push_back({&zipperCtx(), faulted, 2.0,
-                           cat("faulted-", i)});
-        clients.push_back({&hanoiCtx(), inter, 1.0, cat("int-", i)});
-    }
-
-    ServerOptions opts;
-    opts.uplinkBytesPerCycle = 1.5 * linkRate(kT1Link); // contended
-    opts.allocator = nullptr;                           // set below
-    opts.arrivals.kind = ArrivalKind::Uniform;
-    opts.arrivals.seed = 11;
-    opts.arrivals.windowCycles = 400'000;
-
-    for (const char *name : {"equal", "weighted", "deadline"}) {
-        auto alloc = makeAllocator(name);
-        opts.allocator = alloc.get();
-
-        opts.pool = nullptr;
-        std::vector<std::unique_ptr<EventTrace>> serialSinks;
-        ServerResult serial = runObserved(clients, opts, serialSinks);
-
-        ExperimentRunner pool(3);
-        opts.pool = &pool;
-        opts.parallelThreshold = 1;
-        std::vector<std::unique_ptr<EventTrace>> pooledSinks;
-        ServerResult pooled = runObserved(clients, opts, pooledSinks);
-        opts.pool = nullptr;
-        opts.parallelThreshold = 128;
-
-        EXPECT_EQ(serial.makespan, pooled.makespan) << name;
-        EXPECT_EQ(serial.allocationIntervals,
-                  pooled.allocationIntervals)
-            << name;
-        ASSERT_EQ(serial.clients.size(), pooled.clients.size());
-        for (size_t i = 0; i < serial.clients.size(); ++i) {
-            std::string what = cat(name, " client ", i);
-            EXPECT_EQ(serial.clients[i].arrival,
-                      pooled.clients[i].arrival)
-                << what;
-            EXPECT_EQ(serial.clients[i].finished,
-                      pooled.clients[i].finished)
-                << what;
-            expectSameResult(serial.clients[i].sim,
-                             pooled.clients[i].sim, what);
-            expectSameEvents(*serialSinks[i], *pooledSinks[i], what);
-        }
-    }
-}
-
 TEST(ServerSim, AllocationsConserveCapacityAndRespectCaps)
 {
     std::vector<ClientSpec> clients;
@@ -539,6 +477,11 @@ TEST(ServerSim, AllocatorFactoryAndHelpers)
     EXPECT_EQ(percentile(xs, 50), 50u);
     EXPECT_EQ(percentile(xs, 95), 100u);
     EXPECT_EQ(percentile(xs, 100), 100u);
+    EXPECT_EQ(percentile(xs, 0), 10u);
+    EXPECT_THROW(percentile(xs, -1), FatalError);
+    EXPECT_THROW(percentile(xs, 101), FatalError);
+    EXPECT_THROW(percentile(xs, std::numeric_limits<double>::quiet_NaN()),
+                 FatalError);
 }
 
 TEST(ServerSim, PropFairAllocatorAgesStarvedClients)
@@ -683,14 +626,12 @@ TEST(ServerSim, HeapLoopMatchesLinearScanOn512Clients)
     }
 
     EqualShareAllocator equal;
-    ExperimentRunner pool(4);
     ServerOptions opts;
     opts.uplinkBytesPerCycle = 8.0 * linkRate(kT1Link);
     opts.allocator = &equal;
     opts.arrivals.kind = ArrivalKind::Uniform;
     opts.arrivals.seed = 1998;
     opts.arrivals.windowCycles = 2'000'000;
-    opts.pool = &pool;
 
     opts.loop = ServerLoop::PriorityQueue;
     ServerResult heap = runServer(clients, opts);
