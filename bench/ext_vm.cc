@@ -5,8 +5,8 @@
  * (vm/interpreter.h): the classic one-Instruction-at-a-time switch,
  * a portable switch over the pre-decoded IR, and computed-goto direct
  * threading over the same IR (vm/decoded.h). This bench pins their
- * relative throughput, plus the replay integrator's batched
- * quiet-window stepping against the per-event path it replaces.
+ * relative throughput, plus the trace-replay executor's throughput
+ * and its equality with the interpreter-in-the-loop oracle.
  *
  * Three tables:
  *
@@ -23,17 +23,15 @@
  *                    median of the per-round ratios, so a slow patch
  *                    of a shared machine slows both sides of a ratio
  *                    instead of one;
- *   replay           the batched trace-replay integrator vs the exact
- *                    per-event path (forced by attaching a null event
- *                    sink), with a field-for-field SimResult equality
- *                    self-check. The engine's event-loop pass gating
- *                    (transfer/engine.h) speeds up *both* paths, so the
- *                    ratio column is modest by design; absolute batched
- *                    events/s is the headline replay number.
+ *   replay           runReplay on every workload's headline
+ *                    configuration, in us per run and replayed
+ *                    first-use events per second, each result checked
+ *                    field for field against runLiveReference.
  *
  * Timing tables vary run to run; this bench has no golden. The
- * BENCH_ext_vm.json metrics carry the speedups, and its checks hold
- * the threaded-dispatch floor and replay equality.
+ * BENCH_ext_vm.json metrics carry the speedups and replay events/s,
+ * and its checks hold the threaded-dispatch floor and replay
+ * equality.
  */
 
 #include <algorithm>
@@ -50,14 +48,6 @@ namespace nse
 {
 namespace
 {
-
-/** Sink that forces runReplay onto the exact per-event path while
- *  recording nothing. */
-class NullSink : public EventSink
-{
-  public:
-    void record(const ObsEvent &) override {}
-};
 
 /** One full interpretation; returns ns/bytecode. */
 double
@@ -131,7 +121,7 @@ runExtVm(BenchEnv &env, std::ostream &os)
 {
     benchHeader(os, "Extension (execution core)",
                 "Dispatch throughput (classic switch vs decoded switch "
-                "vs direct threading) and batched trace replay");
+                "vs direct threading) and trace replay");
 
     const std::vector<BenchWorkload> &entries = env.workloads();
     BenchJson json("ext_vm");
@@ -226,44 +216,36 @@ runExtVm(BenchEnv &env, std::ostream &os)
     json.setMetric("synthetic_threaded_speedup", syn_thr_speedup);
     json.setMetric("synthetic_switch_speedup", syn_sw_speedup);
 
-    // ---- Replay: batched quiet-window integrator vs per-event. ------
+    // ---- Replay: runReplay timed and checked against the oracle. ----
     SimConfig cfg = headlineConfig();
 
-    Table rep({"Program", "Events", "Per-event us", "Batched us",
-               "Speedup", "Batched events/s", "Equal"});
-    double log_rep = 0.0;
+    Table rep({"Program", "Events", "Replay us", "Replay events/s",
+               "Equal"});
     double log_eps = 0.0;
     uint64_t mismatches = 0;
     for (const BenchWorkload &e : entries) {
         const SimContext &ctx = *e.ctx;
         double events =
             static_cast<double>(ctx.trace().events.size());
-        NullSink sink;
-        SimResult forced = runReplay(ctx, cfg, &sink);
-        SimResult batched = runReplay(ctx, cfg);
-        bool equal = sameResult(forced, batched);
+        bool equal = sameResult(runReplay(ctx, cfg),
+                                runLiveReference(ctx, cfg));
         if (!equal)
             ++mismatches;
-        double ns_forced =
-            bestNs([&] { runReplay(ctx, cfg, &sink); });
-        double ns_batched = bestNs([&] { runReplay(ctx, cfg); });
-        log_rep += std::log(ns_forced / ns_batched);
-        log_eps += std::log(events * 1e9 / ns_batched);
+        double ns = bestNs([&] { runReplay(ctx, cfg); });
+        double eps = events * 1e9 / ns;
+        log_eps += std::log(eps);
         rep.addRow({e.workload.name,
                     std::to_string(ctx.trace().events.size()),
-                    fmtF(ns_forced / 1e3, 1),
-                    fmtF(ns_batched / 1e3, 1),
-                    fmtF(ns_forced / ns_batched, 2),
-                    std::to_string(static_cast<uint64_t>(
-                        events * 1e9 / ns_batched)),
+                    fmtF(ns / 1e3, 1),
+                    std::to_string(static_cast<uint64_t>(eps)),
                     equal ? "yes" : "NO"});
     }
-    double geo_rep = std::exp(log_rep / n);
-    rep.addRow({"GEOMEAN", "", "", "", fmtF(geo_rep, 2), "", ""});
+    double geo_eps = std::exp(log_eps / n);
+    rep.addRow({"GEOMEAN", "", "",
+                std::to_string(static_cast<uint64_t>(geo_eps)), ""});
     os << rep.render();
     json.addTable("replay integrator", rep);
-    json.setMetric("replay_batched_speedup", geo_rep);
-    json.setMetric("replay_events_per_sec", std::exp(log_eps / n));
+    json.setMetric("replay_events_per_sec", geo_eps);
     json.setMetric("replay_mismatches", mismatches);
 
     for (const char *label :

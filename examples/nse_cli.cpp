@@ -17,14 +17,22 @@
  *   --limit N             concurrent transfers, 0 = unlimited (default 4)
  *   --partition           enable global-data partitioning
  *
+ * A malformed command line (unknown option or value, a count that is
+ * not a plain decimal in range) prints the reason and the usage and
+ * exits 2.
+ *
  * Examples:
  *   nse_cli stats Jess
  *   nse_cli simulate TestDes --link t1 --mode interleaved --partition
  *   nse_cli split TestDes 2048
  */
 
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "bytecode/disassembler.h"
@@ -51,6 +59,27 @@ usage()
     return 2;
 }
 
+/** A malformed command line; main prints it with the usage. */
+struct UsageError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/** `s` as a plain decimal count in [0, max]: a sign, blank or
+ *  trailing text, or a value past `max` is a usage error. */
+uint64_t
+parseCount(const std::string &what, const std::string &s, uint64_t max)
+{
+    uint64_t v = 0;
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end || v > max) {
+        throw UsageError(what + " needs a count in [0, " +
+                         std::to_string(max) + "], got '" + s + "'");
+    }
+    return v;
+}
+
 OrderingSource
 parseOrder(const std::string &s)
 {
@@ -62,7 +91,29 @@ parseOrder(const std::string &s)
         return OrderingSource::Train;
     if (s == "test")
         return OrderingSource::Test;
-    fatal("unknown ordering: ", s);
+    throw UsageError("unknown ordering: " + s);
+}
+
+LinkModel
+parseLink(const std::string &s)
+{
+    if (s == "t1")
+        return kT1Link;
+    if (s == "modem")
+        return kModemLink;
+    throw UsageError("unknown link: " + s);
+}
+
+SimConfig::Mode
+parseMode(const std::string &s)
+{
+    if (s == "strict")
+        return SimConfig::Mode::Strict;
+    if (s == "parallel")
+        return SimConfig::Mode::Parallel;
+    if (s == "interleaved")
+        return SimConfig::Mode::Interleaved;
+    throw UsageError("unknown mode: " + s);
 }
 
 int
@@ -113,28 +164,24 @@ cmdSimulate(Workload &w, int argc, char **argv, int first)
         std::string a = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
-                fatal("missing value for ", a);
+                throw UsageError("missing value for " + a);
             return argv[++i];
         };
         if (a == "--link") {
-            std::string v = next();
-            cfg.link = v == "t1" ? kT1Link : kModemLink;
+            cfg.link = parseLink(next());
         } else if (a == "--mode") {
-            std::string v = next();
-            cfg.mode = v == "strict" ? SimConfig::Mode::Strict
-                       : v == "interleaved"
-                           ? SimConfig::Mode::Interleaved
-                           : SimConfig::Mode::Parallel;
+            cfg.mode = parseMode(next());
         } else if (a == "--order") {
             cfg.ordering = parseOrder(next());
         } else if (a == "--limit") {
-            cfg.parallelLimit = std::stoi(next());
+            cfg.parallelLimit =
+                static_cast<int>(parseCount(a, next(), INT_MAX));
             if (cfg.parallelLimit == 0)
                 cfg.parallelLimit = -1;
         } else if (a == "--partition") {
             cfg.dataPartition = true;
         } else {
-            fatal("unknown option: ", a);
+            throw UsageError("unknown option: " + a);
         }
     }
 
@@ -228,10 +275,12 @@ main(int argc, char **argv)
         if (cmd == "simulate")
             return cmdSimulate(w, argc, argv, 3);
         if (cmd == "split")
-            return cmdSplit(w, argc > 3
-                                   ? static_cast<size_t>(
-                                         std::stoul(argv[3]))
-                                   : 2048);
+            return cmdSplit(w, argc > 3 ? parseCount("split", argv[3],
+                                                     SIZE_MAX)
+                                        : 2048);
+    } catch (const UsageError &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return usage();
     } catch (const FatalError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

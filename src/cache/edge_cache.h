@@ -18,9 +18,9 @@
  * order: mode, the memoized LayoutKey (ordering / partition /
  * class-strict), and for Parallel mode the schedule identity (nominal
  * cycles-per-byte and concurrency limit). Knobs that only change how
- * a client *evaluates* the artifact (fault plans, runahead depth, the
- * replay fast-path toggle) are deliberately absent: they select no
- * different bytes, so clients differing only there share one entry.
+ * a client *evaluates* the artifact (fault plans, runahead depth) are
+ * deliberately absent: they select no different bytes, so clients
+ * differing only there share one entry.
  * Per-client-class ordering personalization therefore falls out for
  * free — a Train-ordered class and an Rta-ordered class of the same
  * workload are two distinct artifacts with two distinct keys. Only

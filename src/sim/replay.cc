@@ -74,6 +74,7 @@ SimConfig::validate(uint64_t total_bytes) const
                         link.cyclesPerByte) < 18446744073709551616.0,
               "moving ", total_bytes, " bytes at ", link.cyclesPerByte,
               " cycles per byte overflows the cycle counter");
+    faults.validate();
 }
 
 namespace
@@ -209,7 +210,6 @@ OverlappedRun::resume(const FirstUseWait &w, uint64_t clock,
         entrySeen_ = true;
         result_.invocationLatency = resume;
     }
-    lastResume_ = resume;
 }
 
 uint64_t
@@ -224,11 +224,6 @@ OverlappedRun::wait(size_t idx, MethodId id, uint64_t clock)
 SimResult
 OverlappedRun::finish(uint64_t final_clock, const VmResult &totals)
 {
-    // A caller that answered waits without stepping the engine (the
-    // batched replay window) leaves it behind the last resume; catch
-    // it up so retry/degraded accounting matches the per-event path.
-    if (lastResume_ > engine_.time())
-        engine_.advanceTo(lastResume_);
     SimResult r = result_;
     r.totalCycles = final_clock;
     r.execCycles = totals.execCycles;
@@ -254,43 +249,12 @@ runReplay(const SimContext &ctx, const SimConfig &cfg, EventSink *obs)
     if (cfg.mode == SimConfig::Mode::Strict)
         return runStrict(ctx, cfg, obs);
 
-    bool parallel = cfg.mode == SimConfig::Mode::Parallel;
     OverlappedRun run(ctx, cfg, obs);
-    const TransferEngine &engine = run.engine();
-    const TransferLayout &layout = run.layout();
     const ExecTrace &trace = ctx.trace();
-    // Batched integration: inside a quiet window (nothing in flight,
-    // next scheduled start still ahead) the engine's state is frozen,
-    // so a first-use whose needed prefix has already arrived resolves
-    // to `resume == clock` by pure arithmetic — whole runs of events
-    // between watch crossings cost one predicate each instead of an
-    // engine advance. Sinked runs take the same fast path: the elided
-    // MethodWait is recorded directly (zero stall, by the window
-    // predicate), and every event the frozen engine would eventually
-    // emit carries a cycle at or past the window bound, so the
-    // recorded stream respects the EventSink ordering contract. Any
-    // event the fast path cannot answer (stream mid-flight, prefix
-    // missing, possible misprediction) takes the exact per-event step,
-    // then re-arms the window. tests/replay_test.cc and
-    // tests/runahead_test.cc pin results and recorded events equal to
-    // runLiveReference, which never batches.
-    uint64_t quiet = engine.quietUntil();
-    size_t ev_idx = 0;
+    size_t idx = 0;
     uint64_t final_clock =
         replayTrace(trace, [&](MethodId id, uint64_t clock) {
-            size_t idx = ev_idx++;
-            const MethodPlacement &pl = layout.of(id);
-            if (clock < quiet &&
-                engine.hasArrived(pl.streamIdx, pl.availOffset) &&
-                !(parallel && engine.stream(pl.streamIdx).state ==
-                                  StreamState::Idle)) {
-                run.resume({id, pl.streamIdx, pl.availOffset, false},
-                           clock, clock);
-                return clock;
-            }
-            uint64_t resume = run.wait(idx, id, clock);
-            quiet = engine.quietUntil();
-            return resume;
+            return run.wait(idx++, id, clock);
         });
     return run.finish(final_clock, trace.totals);
 }

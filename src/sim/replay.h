@@ -13,11 +13,12 @@
  * retained interpreter-in-the-loop implementation).
  *
  * The run-time rule at each first use (paper §5.1) lives once, in
- * OverlappedRun; runReplay, runLiveReference, every server client
- * (server/server_sim.h, which serves only overlapped clients) and the
- * schedule ablation drive it. Strict mode needs no step: it is one
- * wait for the whole program, computed in closed form (or on a
- * faulted engine) by runReplay and runLiveReference alone.
+ * OverlappedRun. runReplay and runLiveReference call its wait once
+ * per first use; every server client (server/server_sim.h, which
+ * serves only overlapped clients) and the schedule ablation also
+ * drive it. Strict mode needs no step: it is one wait for the whole
+ * program, computed in closed form (or on a faulted engine) by
+ * runReplay and runLiveReference alone.
  */
 
 #ifndef NSE_SIM_REPLAY_H
@@ -84,7 +85,8 @@ struct SimConfig
      * Raise FatalError unless the link can carry a `total_bytes`
      * program: cyclesPerByte must be finite and positive, and the
      * whole-program cost ceil(total_bytes x cyclesPerByte) must fit a
-     * uint64_t cycle count. Every public entry point that runs a
+     * uint64_t cycle count; and the fault plan must pass
+     * FaultPlan::validate. Every public entry point that runs a
      * configuration calls it first.
      */
     void validate(uint64_t total_bytes) const;
@@ -227,7 +229,6 @@ class OverlappedRun
     SimResult finish(uint64_t final_clock, const VmResult &totals);
 
     TransferEngine &engine() { return engine_; }
-    const TransferLayout &layout() const { return *layout_; }
     /** Stall cycles booked so far. */
     uint64_t stalls() const { return result_.stallCycles; }
 
@@ -240,7 +241,6 @@ class OverlappedRun
     std::optional<RunaheadScheduler> runahead_;
     SimResult result_;
     bool entrySeen_ = false;
-    uint64_t lastResume_ = 0;
 };
 
 /**

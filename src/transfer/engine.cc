@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "support/error.h"
+#include "support/saturate.h"
 
 namespace nse
 {
@@ -44,6 +45,7 @@ TransferEngine::TransferEngine(double cycles_per_byte, int max_concurrent,
       plan_(std::move(plan))
 {
     NSE_CHECK(cycles_per_byte > 0, "non-positive link cost");
+    plan_.validate();
     const std::vector<RateSegment> &segs = plan_.trace.segments();
     if (!segs.empty()) {
         traceMult_ = segs[0].multiplier;
@@ -160,19 +162,6 @@ TransferEngine::hasArrived(int stream, uint64_t offset) const
     NSE_ASSERT(si < streams_.size(), "bad stream id ", stream);
     return streams_[si].arrivedBytes + kEps >=
            static_cast<double>(offset);
-}
-
-uint64_t
-TransferEngine::quietUntil() const
-{
-    // Anything in flight can make progress (or retry) at any cycle:
-    // no quiet window. A non-empty queue implies a full slot table,
-    // which implies active streams, but check it anyway.
-    if (active_ > 0 || suspended_ > 0 || !queue_.empty())
-        return time_;
-    if (pendingStarts_ == 0)
-        return UINT64_MAX;
-    return std::max(nextStart_, time_);
 }
 
 bool
@@ -409,7 +398,7 @@ TransferEngine::processEventsAt(uint64_t t)
             if (s.arrivedBytes + kEps >=
                 static_cast<double>(d.offsetBytes)) {
                 s.state = StreamState::Suspended;
-                resumeAt_[i] = t + plan_.retryDelay(d.attempts);
+                resumeAt_[i] = satAdd(t, plan_.retryDelay(d.attempts));
                 retryCount_ += static_cast<uint64_t>(d.attempts);
                 ++nextDrop_[i];
                 --dropsPending_;

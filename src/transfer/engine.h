@@ -75,7 +75,8 @@ class TransferEngine
      */
     TransferEngine(double cycles_per_byte, int max_concurrent);
 
-    /** As above, evaluating transfers under a fault plan. */
+    /** As above, evaluating transfers under a fault plan (which
+     *  must pass FaultPlan::validate). */
     TransferEngine(double cycles_per_byte, int max_concurrent,
                    FaultPlan plan);
 
@@ -177,20 +178,6 @@ class TransferEngine
     /** waitFor's arrival predicate as a pure query: have `offset`
      *  bytes of the stream arrived (within the engine's epsilon)? */
     bool hasArrived(int stream, uint64_t offset) const;
-
-    /**
-     * End of the engine's current *quiet window*: the earliest future
-     * cycle at which its state can change at all. While any stream is
-     * in flight (active, suspended, or queued) there is no window and
-     * the current time is returned; otherwise no bytes move, no watch
-     * can cross, and no accounting accumulates until the next
-     * scheduled start, so every cycle strictly before the returned
-     * value observes exactly the current state. UINT64_MAX = nothing
-     * pending ever (all streams done or unscheduled). Pure query —
-     * the batched replay integrator uses it to answer whole runs of
-     * first-use waits arithmetically, without stepping the engine.
-     */
-    uint64_t quietUntil() const;
 
     /** Total retry attempts across all drop events triggered so far. */
     uint64_t retryCount() const { return retryCount_; }

@@ -5,6 +5,7 @@
 
 #include "support/error.h"
 #include "support/rng.h"
+#include "support/saturate.h"
 
 namespace nse
 {
@@ -73,6 +74,17 @@ FaultPlan::nominal() const
     return true;
 }
 
+void
+FaultPlan::validate() const
+{
+    NSE_CHECK(std::isfinite(backoffFactor) && backoffFactor >= 0,
+              "backoff factor must be finite and non-negative, got ",
+              backoffFactor);
+    NSE_CHECK(std::isfinite(dropsPerMByte) && dropsPerMByte >= 0,
+              "drop rate must be finite and non-negative, got ",
+              dropsPerMByte);
+}
+
 uint64_t
 FaultPlan::retryDelay(int attempts) const
 {
@@ -83,7 +95,7 @@ FaultPlan::retryDelay(int attempts) const
         delay += step;
         step *= backoffFactor;
     }
-    return static_cast<uint64_t>(std::ceil(delay));
+    return satFromDouble(std::ceil(delay));
 }
 
 std::vector<DropEvent>

@@ -123,8 +123,13 @@ struct FaultPlan
     /** True when the plan cannot perturb any transfer. */
     bool nominal() const;
 
+    /** Raise FatalError unless backoffFactor and dropsPerMByte are
+     *  finite and >= 0. */
+    void validate() const;
+
     /** Total suspension cycles for a drop needing `attempts` retries:
-     *  timeout * (1 + b + b^2 + ...), b = backoffFactor. */
+     *  timeout * (1 + b + b^2 + ...), b = backoffFactor, saturated to
+     *  UINT64_MAX ("never resumes") where it overflows. */
     uint64_t retryDelay(int attempts) const;
 
     /**

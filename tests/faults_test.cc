@@ -1,8 +1,9 @@
 /**
  * @file
  * Link-behavior layer tests: bandwidth-trace segments and validation,
- * seeded burst/drop generation determinism, retry/backoff arithmetic,
- * and the transfer engine's piecewise-rate integration — exact
+ * seeded burst/drop generation determinism, retry/backoff arithmetic
+ * and its saturation, plan validation, and the transfer engine's
+ * piecewise-rate integration — exact
  * timings under rate steps, suspend/resume around connection drops,
  * resume-from-offset, slot retention while retrying, degraded-cycle
  * accounting, and byte-identical equivalence of an all-nominal plan
@@ -13,6 +14,7 @@
 
 #include <limits>
 
+#include "sim/replay.h"
 #include "support/error.h"
 #include "transfer/engine.h"
 #include "transfer/faults.h"
@@ -135,6 +137,40 @@ TEST(Plan, RetryDelayBacksOffExponentially)
     EXPECT_EQ(p.retryDelay(3), 700u);  // 100 + 200 + 400
 }
 
+TEST(Plan, RetryDelaySaturatesPastTheCycleCounter)
+{
+    // 250'000 x (1 + b + b^2) is past 2^64 for b = 1e10 and infinite
+    // for b = inf: "never resumes", not a cast that wraps to 0.
+    FaultPlan p;
+    p.backoffFactor = 1e10;
+    EXPECT_EQ(p.retryDelay(2), 2'500'000'000'250'000u);
+    EXPECT_EQ(p.retryDelay(3), UINT64_MAX);
+    p.backoffFactor = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(p.retryDelay(3), UINT64_MAX);
+}
+
+TEST(Plan, ValidateRejectsNonFiniteOrNegativeRates)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double bad : {inf, -inf, nan, -1.0}) {
+        FaultPlan backoff;
+        backoff.backoffFactor = bad;
+        FaultPlan drops;
+        drops.dropsPerMByte = bad;
+        for (const FaultPlan &p : {backoff, drops}) {
+            EXPECT_THROW(p.validate(), FatalError) << bad;
+            EXPECT_THROW(TransferEngine(kCpb, -1, p), FatalError) << bad;
+            SimConfig cfg;
+            cfg.faults = p;
+            EXPECT_THROW(cfg.validate(1000), FatalError) << bad;
+        }
+    }
+    FaultPlan zero;
+    zero.backoffFactor = 0.0;
+    EXPECT_NO_THROW(zero.validate());
+}
+
 TEST(Plan, SeededDropsAreDeterministicAndInterior)
 {
     FaultPlan p;
@@ -252,6 +288,22 @@ TEST(FaultedEngine, BackoffAccumulatesAcrossAttempts)
     e.scheduleStart(s, 0);
     EXPECT_EQ(e.waitFor(s, 1000, 0), 107'000u);
     EXPECT_EQ(e.retryCount(), 3u);
+}
+
+TEST(FaultedEngine, SaturatedRetryNeverResumes)
+{
+    // A retry delay past the cycle counter leaves the stream
+    // suspended for good: waiting on it is the "never transfer"
+    // error, not an instant resume from a wrapped clock.
+    FaultPlan p;
+    p.backoffFactor = 1e10;
+    p.forcedDrops = {{{500, 3}}};
+    TransferEngine e(kCpb, -1, p);
+    int s = e.addStream("a", 1000);
+    e.scheduleStart(s, 0);
+    EXPECT_EQ(e.waitFor(s, 500, 0), 50'000u);
+    EXPECT_THROW(e.waitFor(s, 501, 0), FatalError);
+    EXPECT_EQ(e.stream(s).state, StreamState::Suspended);
 }
 
 TEST(FaultedEngine, SuspendedStreamKeepsItsSlot)

@@ -111,8 +111,8 @@ variants()
 {
     return {
         {"t1-limit4-nominal", kT1Link, 4, false, false, {}},
-        // Execution outlasts the transfer: Parallel runs reach quiet
-        // windows, so the batched fast path answers most first uses.
+        // Execution outlasts the transfer: most first uses find their
+        // bytes arrived and nothing in flight.
         {"fast-limit4-nominal", kFastLink, 4, false, false, {}},
         {"modem-limit1-part-faulty", kModemLink, 1, true, false,
          faultyPlan()},
@@ -172,14 +172,12 @@ TEST(Replay, MatchesLiveCoSimulationOnSyntheticProgram)
     checkAllConfigs(ctx);
 }
 
-TEST(Replay, BatchedIntegratorMatchesLiveReference)
+TEST(Replay, SinkedRunMatchesLiveReference)
 {
-    // runReplay's quiet-window fast path may answer whole runs of
-    // first-uses arithmetically, with or without a sink attached
-    // (sinked runs record the elided MethodWait events directly).
-    // runLiveReference never batches, so on every sampled
-    // configuration the batched run must match it field for field and
-    // record the same event stream, event for event.
+    // On every sampled overlapped configuration a sinked replay must
+    // match runLiveReference field for field and record the same
+    // event stream, event for event; and attaching the sink must not
+    // change the result.
     Workload wl = makeZipper();
     SimContext ctx(wl.program, wl.natives, wl.trainInput,
                    wl.testInput);
@@ -202,11 +200,11 @@ TEST(Replay, BatchedIntegratorMatchesLiveReference)
                 std::string what =
                     cat(v.name, " mode=", static_cast<int>(mode),
                         " ord=", orderingName(ord));
-                EventTrace batched, live;
-                SimResult r = runReplay(ctx, cfg, &batched);
+                EventTrace replayed, live;
+                SimResult r = runReplay(ctx, cfg, &replayed);
                 expectIdentical(r, runLiveReference(ctx, cfg, &live),
                                 what);
-                expectSameEvents(batched, live, what);
+                expectSameEvents(replayed, live, what);
                 expectIdentical(r, runReplay(ctx, cfg),
                                 cat("unsinked ", what));
             }

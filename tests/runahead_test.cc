@@ -1,17 +1,15 @@
 /**
  * @file
  * Acceptance gate of online runahead transfer scheduling
- * (src/transfer/runahead.h) and the replay/server fast-path fixes
- * that ride along with it:
+ * (src/transfer/runahead.h) and the replay/server fixes that ride
+ * along with it:
  *
  *  - runaheadDepth=0 (the default) is bit-identical to static replay:
  *    same SimResult fields, same recorded event stream, no
  *    RunaheadPromote/RunaheadDefer events — the knob cannot perturb a
  *    run that does not ask for it;
- *  - the quiet-window batched fast path runs with an EventSink
- *    attached, recording the elided MethodWait events directly; the
- *    recorded stream is pinned equal event for event against
- *    runLiveReference, which never batches;
+ *  - a sinked Parallel replay records the same event stream as
+ *    runLiveReference, event for event;
  *  - with runahead enabled, runReplay stays field-for-field identical
  *    to runLiveReference (the interpreter-in-the-loop co-simulation);
  *  - on a genuinely mispredicting train-on-A/run-on-B workload,
@@ -134,7 +132,8 @@ variants()
 {
     return {
         {"t1-limit4-nominal", kT1Link, 4, false, {}},
-        // Execution outlasts the transfer: the batched fast path runs.
+        // Execution outlasts the transfer: most first uses find their
+        // bytes arrived and nothing in flight.
         {"fast-limit4-nominal", LinkModel{"Fast", 200.0}, 4, false, {}},
         {"modem-limit1-part-faulty", kModemLink, 1, true, faultyPlan()},
         {"t1-limit2-faulty", kT1Link, 2, false, faultyPlan()},
@@ -178,12 +177,11 @@ TEST(Runahead, DepthZeroIsBitIdenticalToStaticReplay)
     }
 }
 
-TEST(Runahead, SinkedFastPathEventsMatchLiveReference)
+TEST(Runahead, SinkedEventsMatchLiveReference)
 {
-    // The quiet-window batched integrator runs with an EventSink
-    // attached and records the elided MethodWait events itself; the
-    // recorded stream must equal runLiveReference's (which never
-    // batches) event for event — with runahead off and on.
+    // A sinked Parallel replay must record runLiveReference's event
+    // stream event for event, and match its result field for field —
+    // with runahead off and on.
     const SimContext &ctx = zipperCtx();
     const OrderingSource orders[] = {OrderingSource::Static,
                                      OrderingSource::Train,
@@ -202,11 +200,11 @@ TEST(Runahead, SinkedFastPathEventsMatchLiveReference)
                 std::string what = cat(v.name, " ord=",
                                        orderingName(ord), " depth=",
                                        depth);
-                EventTrace batched, live;
-                expectIdentical(runReplay(ctx, cfg, &batched),
+                EventTrace replayed, live;
+                expectIdentical(runReplay(ctx, cfg, &replayed),
                                 runLiveReference(ctx, cfg, &live),
                                 what);
-                expectSameEvents(batched, live, what);
+                expectSameEvents(replayed, live, what);
             }
         }
     }
