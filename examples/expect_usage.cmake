@@ -1,7 +1,8 @@
-# Runs one malformed nse_cli command line and requires exit status 2
-# with the usage text in its output:
+# Runs one malformed command line of a command-line tool (nse_cli,
+# nse_audit) and requires exit status 2 with the usage text in its
+# output:
 #
-#   cmake -P expect_usage.cmake -- <nse_cli> <args...>
+#   cmake -P expect_usage.cmake -- <tool> <args...>
 set(cmd)
 set(seen_dashes FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")

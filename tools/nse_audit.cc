@@ -7,7 +7,8 @@
  * predicted-earlier callee a method depends on arrives no later than
  * the method's own delimiter. See src/analysis/audit.h for the checks
  * and severities. Exit status: 0 when no configuration has errors,
- * 1 otherwise, 2 on usage mistakes.
+ * 1 otherwise, 2 on usage mistakes (an unknown flag, ordering, link or
+ * workload prints `error: <reason>` and the usage).
  *
  * Usage:
  *   nse_audit --grid [--json]
@@ -39,6 +40,7 @@
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -68,6 +70,12 @@ usage()
     return 2;
 }
 
+/** A malformed command line; main prints it with the usage. */
+struct UsageError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
 OrderingSource
 parseOrder(const std::string &s)
 {
@@ -81,7 +89,18 @@ parseOrder(const std::string &s)
         return OrderingSource::MustUse;
     if (s == "test")
         return OrderingSource::Test;
-    fatal("unknown ordering: ", s);
+    throw UsageError("unknown ordering: " + s);
+}
+
+/** Build the named workload; an unknown name is a usage mistake. */
+Workload
+namedWorkload(const std::string &name)
+{
+    try {
+        return makeWorkload(name);
+    } catch (const FatalError &e) {
+        throw UsageError(e.what());
+    }
 }
 
 /** The static plan every audit of one (workload, layout key) cell
@@ -298,11 +317,10 @@ runGrid(bool json)
 }
 
 int
-runSingle(const std::string &name, OrderingSource src, bool interleaved,
+runSingle(const Workload &w, OrderingSource src, bool interleaved,
           bool partitioned, const LinkModel &link, bool stall_bounds,
           bool json)
 {
-    Workload w = makeWorkload(name);
     SimContext ctx(w.program, w.natives, w.trainInput, w.testInput);
     LayoutKey key;
     key.parallel = !interleaved;
@@ -364,7 +382,7 @@ main(int argc, char **argv)
                 else if (l == "modem")
                     link = kModemLink;
                 else
-                    fatal("unknown link: ", l);
+                    throw UsageError("unknown link: " + l);
             } else if (!a.empty() && a[0] == '-') {
                 return usage();
             } else if (workload.empty()) {
@@ -377,8 +395,11 @@ main(int argc, char **argv)
             return workload.empty() ? runGrid(json) : usage();
         if (workload.empty())
             return usage();
-        return runSingle(workload, src, interleaved, partitioned, link,
-                         stall_bounds, json);
+        return runSingle(namedWorkload(workload), src, interleaved,
+                         partitioned, link, stall_bounds, json);
+    } catch (const UsageError &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return usage();
     } catch (const FatalError &e) {
         std::cerr << "nse_audit: " << e.what() << "\n";
         return 1;
