@@ -18,55 +18,58 @@ namespace
  * capped. Terminates in at most |demanding| rounds (each round caps
  * at least one client or is the last). Deterministic: clients are
  * scanned in index order and the arithmetic never depends on set
- * iteration order.
+ * iteration order. weightOf runs once per demanding client per call.
  */
 template <typename WeightFn>
 void
 waterFill(double capacity, const std::vector<ClientDemand> &demands,
           std::vector<double> &rates, WeightFn weightOf)
 {
-    std::vector<size_t> unsat;
+    struct Unsat
+    {
+        size_t client;
+        double weight;
+    };
+    std::vector<Unsat> unsat;
     for (size_t i = 0; i < demands.size(); ++i)
         if (demands[i].demanding && demands[i].nominalRate > 0.0)
-            unsat.push_back(i);
+            unsat.push_back({i, weightOf(i)});
 
     double remaining = capacity;
     while (!unsat.empty() && remaining > 0.0) {
         double weightSum = 0.0;
-        for (size_t i : unsat)
-            weightSum += weightOf(i);
+        for (const Unsat &u : unsat)
+            weightSum += u.weight;
         if (weightSum <= 0.0)
             break;
-        bool capped = false;
-        std::vector<size_t> still;
-        for (size_t i : unsat) {
-            double share = remaining * weightOf(i) / weightSum;
+        // Cap whoever the split saturates; compact the rest in place.
+        size_t kept = 0;
+        for (const Unsat &u : unsat) {
+            double share = remaining * u.weight / weightSum;
             // The cap test tolerates FP residue from the re-split
             // arithmetic: a share within rounding of the nominal rate
             // IS the nominal rate (an ulp-under share would otherwise
             // throttle the engine by an ulp, which the engine counts
             // as a degraded link for the whole transfer).
-            if (demands[i].nominalRate <= share * (1.0 + 1e-12)) {
+            if (demands[u.client].nominalRate <= share * (1.0 + 1e-12))
                 // Capped at the client's own link; surplus re-splits.
-                rates[i] = demands[i].nominalRate;
-                capped = true;
-            } else {
-                still.push_back(i);
-            }
+                rates[u.client] = demands[u.client].nominalRate;
+            else
+                unsat[kept++] = u;
         }
-        if (capped) {
+        if (kept < unsat.size()) {
             // Rebuild the residual from scratch (capacity minus every
             // assigned rate, in index order) so the arithmetic never
             // depends on which round capped whom.
             remaining = capacity;
             for (size_t j = 0; j < demands.size(); ++j)
                 remaining -= rates[j];
-            unsat = std::move(still);
+            unsat.resize(kept);
             continue;
         }
         // No one capped: final proportional split.
-        for (size_t i : unsat)
-            rates[i] = remaining * weightOf(i) / weightSum;
+        for (const Unsat &u : unsat)
+            rates[u.client] = remaining * u.weight / weightSum;
         break;
     }
 }
@@ -149,12 +152,16 @@ uint64_t
 PropFairAllocator::nextRefresh(
     uint64_t now, const std::vector<ClientDemand> &demands) const
 {
-    // Output changes only when some demanding client's aging boost
-    // crosses its next quantum edge: at nextFirstUse + (q+1)*quantum.
-    // Clients at the max boost, or not yet past their deadline, have
-    // no upcoming edge (a deadline in the future becoming "late"
-    // coincides with the client's own first-use event, which already
-    // wakes the loop).
+    // Output changes when some demanding client's aging boost crosses
+    // its next quantum edge: at nextFirstUse + (q+1)*quantum. Clients
+    // at the max boost have no upcoming edge. Clients not yet past
+    // their deadline are skipped too, which is exact only when that
+    // deadline is the client's own next event: an executing client's
+    // first use, which wakes the loop anyway. A mispredict-opened
+    // block ranks on blockNextUseGlobal instead, and nothing wakes the
+    // loop at that instant, so its first boost (at nextFirstUse +
+    // quantum) lands at whatever allocation comes next (see the
+    // contract gap in allocator.h).
     uint64_t next = UINT64_MAX;
     for (const ClientDemand &d : demands) {
         if (!d.demanding || d.nextFirstUse == UINT64_MAX ||
