@@ -38,6 +38,16 @@
  *    policy's output could change *with the demands held fixed*
  *    (e.g. an aging boost crossing its next quantum). UINT64_MAX =
  *    never; the server treats the returned cycle as an event.
+ *
+ * Known gap: PropFairAllocator::nextRefresh declares no edge for a
+ * demanding client whose nextFirstUse is still ahead. That is exact
+ * for an executing client, whose first use is its own event, but not
+ * for a mispredict-opened block, which ranks on its next recorded
+ * first use: its boost starts at nextFirstUse + quantum with no event
+ * there, and lands at the next allocation. The linear-scan reference
+ * allocates at every event, so under propfair the two loops can part
+ * (tests/server_test.cc records it). Declaring the edge changes
+ * propfair's outputs, so it waits for a change that re-pins them.
  */
 
 #ifndef NSE_SERVER_ALLOCATOR_H
