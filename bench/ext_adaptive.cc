@@ -17,12 +17,11 @@
  * Test column; the control columns match exactly.
  */
 
-#include <cmath>
-#include <map>
-#include <set>
+#include <unordered_map>
 
 #include "bench/bench_env.h"
 #include "classfile/writer.h"
+#include "transfer/engine.h"
 
 namespace nse
 {
@@ -30,162 +29,67 @@ namespace
 {
 
 /**
- * A hand-rolled sequential transfer of reorderable units. Units send
- * back to back at the link rate; on demand, a unit (plus any of its
- * predecessors that carry its class prefix) jumps the queue after the
- * unit currently in flight.
+ * The interleaved transfer as reorderable units on a one-connection
+ * TransferEngine: per class a global-data stream ahead of its first
+ * method, then one stream per method, in first-use order (exactly the
+ * interleaved layout's composition). Every stream starts at cycle 0,
+ * so the link sends them back to back in that order; on demand, a
+ * unit and its class's global data jump the queue behind the unit in
+ * flight (TransferEngine::demandStart).
  */
 class AdaptiveInterleaver
 {
   public:
     AdaptiveInterleaver(const Program &prog, const FirstUseOrder &order,
                         double cycles_per_byte, bool adaptive)
-        : cyclesPerByte_(cycles_per_byte), adaptive_(adaptive)
+        : engine_(cycles_per_byte, 1), adaptive_(adaptive),
+          globalStream_(prog.classCount(), -1)
     {
-        // Build units: per class a global-data unit inserted before
-        // its first method unit, then method units in first-use order
-        // (exactly the interleaved layout's composition).
-        std::vector<bool> class_seen(prog.classCount(), false);
         for (const MethodId &id : order.order) {
-            if (!class_seen[id.classIdx]) {
-                class_seen[id.classIdx] = true;
-                Unit g;
-                g.bytes = layoutOf(prog.classAt(id.classIdx))
-                              .globalDataEnd;
-                g.classIdx = id.classIdx;
-                g.isGlobal = true;
-                queue_.push_back(g);
-            }
-            Unit u;
-            u.bytes = prog.method(id).transferSize();
-            u.classIdx = id.classIdx;
-            u.method = id;
-            queue_.push_back(u);
+            int &g = globalStream_[id.classIdx];
+            if (g < 0)
+                g = addUnit(layoutOf(prog.classAt(id.classIdx))
+                                .globalDataEnd);
+            methodStream_[id] = addUnit(prog.method(id).transferSize());
         }
     }
 
-    /** Cycle at which method `id` is fully available, given `now`. */
+    /** Waits in which a demand moved a unit ahead in the queue. */
     uint64_t promotions() const { return promotions_; }
 
+    /** Cycle at which method `id` is fully available, given `now`. */
     uint64_t
     waitFor(MethodId id, uint64_t now)
     {
         // The network keeps sending while execution runs: everything
         // that completed by `now` is already on the client.
-        advanceTo(now);
-        if (!done_.count(id)) {
-            if (adaptive_)
-                promote(id, now);
-            // Stall: drain until the needed unit has arrived.
-            while (!done_.count(id) && cursor_ < queue_.size())
-                sendNext();
+        engine_.advanceTo(now);
+        int m = methodStream_.at(id);
+        uint64_t bytes =
+            static_cast<uint64_t>(engine_.stream(m).totalBytes);
+        if (adaptive_ && !engine_.hasArrived(m, bytes)) {
+            // Demand the method, then its class's global data, so the
+            // global data goes first.
+            bool moved = engine_.demandStart(m, now);
+            moved |= engine_.demandStart(globalStream_[id.classIdx], now);
+            promotions_ += moved;
         }
-        return std::max(now, done_[id]);
+        return engine_.waitFor(m, bytes, now);
     }
 
   private:
-    struct Unit
+    int
+    addUnit(uint64_t bytes)
     {
-        uint64_t bytes = 0;
-        uint16_t classIdx = 0;
-        bool isGlobal = false;
-        /** Sent, or tombstoned after being promoted to a new slot. */
-        bool sentAtSet = false;
-        MethodId method{};
-    };
-
-    uint64_t
-    cost(const Unit &u) const
-    {
-        return static_cast<uint64_t>(
-            std::ceil(static_cast<double>(u.bytes) * cyclesPerByte_));
+        int s = engine_.addStream("", bytes);
+        engine_.scheduleStart(s, 0);
+        return s;
     }
 
-    void
-    sendNext()
-    {
-        Unit &u = queue_[cursor_++];
-        if (u.sentAtSet)
-            return; // promoted earlier; skip its old slot
-        clock_ += cost(u);
-        u.sentAtSet = true;
-        if (u.isGlobal)
-            globalSent_.insert(u.classIdx);
-        else
-            done_[u.method] = clock_;
-    }
-
-    /** Skip tombstones, then send every unit completing by `now`. */
-    void
-    advanceTo(uint64_t now)
-    {
-        while (cursor_ < queue_.size()) {
-            Unit &u = queue_[cursor_];
-            if (u.sentAtSet) {
-                ++cursor_; // tombstone
-                continue;
-            }
-            if (clock_ + cost(u) > now)
-                break;
-            sendNext();
-        }
-    }
-
-    /** Move `id`'s unit (and its class global, if unsent) up next,
-     *  behind whatever unit is currently on the wire. */
-    void
-    promote(MethodId id, uint64_t now)
-    {
-        // Find the pending (un-tombstoned) unit for this method.
-        // Indices shift on every insertion, so search rather than
-        // cache.
-        size_t idx_found = queue_.size();
-        for (size_t i = cursor_; i < queue_.size(); ++i) {
-            if (!queue_[i].isGlobal && !queue_[i].sentAtSet &&
-                queue_[i].method == id) {
-                idx_found = i;
-                break;
-            }
-        }
-        if (idx_found == queue_.size())
-            return;
-        // The unit at the cursor may be mid-flight; the promoted units
-        // slot in right behind it.
-        size_t insert_at = cursor_;
-        if (cursor_ < queue_.size() && clock_ < now)
-            insert_at = cursor_ + 1;
-        if (insert_at >= idx_found)
-            return; // already next in line
-        ++promotions_;
-        std::vector<Unit> promoted;
-        // Class global first, when still pending.
-        if (!globalSent_.count(id.classIdx)) {
-            for (size_t i = cursor_; i < queue_.size(); ++i) {
-                if (queue_[i].isGlobal &&
-                    queue_[i].classIdx == id.classIdx &&
-                    !queue_[i].sentAtSet) {
-                    promoted.push_back(queue_[i]);
-                    queue_[i].sentAtSet = true; // tombstone old slot
-                    break;
-                }
-            }
-        }
-        promoted.push_back(queue_[idx_found]);
-        queue_[idx_found].sentAtSet = true; // tombstone old slot
-        queue_.insert(queue_.begin() + static_cast<long>(insert_at),
-                      promoted.begin(), promoted.end());
-        // Clear the tombstone flag on the fresh copies.
-        for (size_t k = 0; k < promoted.size(); ++k)
-            queue_[insert_at + k].sentAtSet = false;
-    }
-
-    double cyclesPerByte_;
+    TransferEngine engine_;
     bool adaptive_;
-    uint64_t clock_ = 0;
-    size_t cursor_ = 0;
-    std::vector<Unit> queue_;
-    std::map<MethodId, uint64_t> done_;
-    std::set<uint16_t> globalSent_;
+    std::vector<int> globalStream_;
+    std::unordered_map<MethodId, int> methodStream_;
     uint64_t promotions_ = 0;
 };
 

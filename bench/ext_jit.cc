@@ -28,7 +28,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 
 #include "bench/bench_env.h"
 #include "transfer/engine.h"
@@ -65,9 +64,7 @@ runJit(const BenchWorkload &e, const LinkModel &link, JitPolicy policy)
 
     if (policy == JitPolicy::StrictLazy) {
         // Full transfer, then execution with compile-at-first-use.
-        uint64_t transfer = static_cast<uint64_t>(
-            std::ceil(static_cast<double>(layout.totalBytes) *
-                      link.cyclesPerByte));
+        uint64_t transfer = transferCost(layout.totalBytes, link);
         uint64_t exec =
             replayTrace(trace, [&](MethodId id, uint64_t clock) {
                 return clock +
@@ -90,10 +87,8 @@ runJit(const BenchWorkload &e, const LinkModel &link, JitPolicy policy)
             e.ctx->ordering(OrderingSource::Test);
         uint64_t compiler_free = 0;
         for (const MethodId &id : order.order) {
-            uint64_t arrival = static_cast<uint64_t>(
-                std::ceil(static_cast<double>(
-                              layout.of(id).availOffset) *
-                          link.cyclesPerByte));
+            uint64_t arrival =
+                transferCost(layout.of(id).availOffset, link);
             uint64_t begin = std::max(arrival, compiler_free);
             compiler_free =
                 begin + compileCost(e.workload.program.method(id));

@@ -13,13 +13,15 @@
  * deadline, propfair), report per fleet size: the p50/p95/p99 of
  * per-client stall cycles, fleet makespan, Jain's fairness index over
  * per-client slowdown (client total cycles / its own solo total), and
- * the event-loop cost columns — events processed, allocator runs, and
- * wall-clock per event. The last column is the scaling claim: the
- * priority-queue loop's per-event cost must not grow linearly in N
- * (the old loop's O(n) scans per event would show here as us/event
- * rising with the row). Deadline-aware policies re-rank on every
- * deadline movement by design — their incrementality cannot skip
- * allocator calls — so their grids stop at 256 clients.
+ * the event-loop cost columns. Events and allocator runs are
+ * deterministic work counts of the run; wall ms and us/event time the
+ * cell on the host that runs it. Nothing checks the timings, and the
+ * per-event cost is not flat in N: an allocation can retime every
+ * demanding client's engine, so us/event rises with the fleet (most
+ * steeply under propfair, whose aging edges re-run the allocator).
+ * Deadline-aware policies re-rank on every deadline movement by
+ * design — their incrementality cannot skip allocator calls — so
+ * their grids stop at 256 clients.
  *
  * Two further tables fold in the rest of the server backlog:
  * admission control (queue-at-the-door vs fair-share starvation on an
@@ -143,8 +145,8 @@ runExtServer(BenchEnv &env, std::ostream &os)
         "Fleets of Parallel/Train/T1/limit-4 clients sharing one uplink\n"
         "(capacity = 2 T1 clients; seeded uniform arrivals) at 2..4096\n"
         "clients; per-client stall percentiles, fleet makespan, Jain\n"
-        "fairness of slowdown, and event-loop cost (us/event must stay\n"
-        "flat as the fleet grows)");
+        "fairness of slowdown, and event-loop cost (events and allocator\n"
+        "runs are work counts; wall ms and us/event are this host's timings)");
 
     const std::vector<BenchWorkload> &entries = env.workloads();
     const double capacity = 2.0 * linkRate(kT1Link);

@@ -114,9 +114,6 @@ class CodeBuilder
     void forRange(uint16_t slot, int32_t from, int32_t to,
                   const Block &body);
 
-    /** Number of instructions emitted so far. */
-    size_t instructionCount() const { return insts_.size(); }
-
     /**
      * Resolve labels to byte offsets and return the finished sequence.
      * fatal()s when a referenced label was never bound.

@@ -67,33 +67,4 @@ decodeCode(const std::vector<uint8_t> &code)
     return out;
 }
 
-Instruction
-decodeAt(const std::vector<uint8_t> &code, uint32_t offset)
-{
-    NSE_CHECK(offset < code.size(), "decode offset past end: ", offset);
-    ByteReader r(code.data() + offset, code.size() - offset);
-    Instruction inst;
-    inst.offset = offset;
-    uint8_t raw = r.getU8();
-    if (!isValidOpcode(raw))
-        fatal("unknown opcode byte ", int{raw}, " at offset ", offset);
-    inst.op = static_cast<Opcode>(raw);
-    switch (opcodeInfo(inst.op).operand) {
-      case OperandKind::None:
-        break;
-      case OperandKind::ImmI8:
-        inst.operand = r.getI8();
-        break;
-      case OperandKind::ImmI32:
-        inst.operand = r.getI32();
-        break;
-      case OperandKind::Local:
-      case OperandKind::CpIdx:
-      case OperandKind::Branch:
-        inst.operand = r.getU16();
-        break;
-    }
-    return inst;
-}
-
 } // namespace nse

@@ -43,9 +43,6 @@ std::vector<uint8_t> encodeCode(const std::vector<Instruction> &insts);
  */
 std::vector<Instruction> decodeCode(const std::vector<uint8_t> &code);
 
-/** Decode the single instruction starting at `offset`. */
-Instruction decodeAt(const std::vector<uint8_t> &code, uint32_t offset);
-
 } // namespace nse
 
 #endif // NSE_BYTECODE_INSTRUCTION_H

@@ -57,46 +57,6 @@ Table::render() const
     return os.str();
 }
 
-namespace
-{
-
-/** RFC 4180 field quoting: quote when the cell holds a comma, quote,
- *  or line break; double embedded quotes. */
-std::string
-csvEscape(const std::string &cell)
-{
-    if (cell.find_first_of(",\"\n\r") == std::string::npos)
-        return cell;
-    std::string out = "\"";
-    for (char c : cell) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
-std::string
-Table::renderCsv() const
-{
-    std::ostringstream os;
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                os << ",";
-            os << csvEscape(row[i]);
-        }
-        os << "\n";
-    };
-    emit(headers_);
-    for (const auto &row : rows_)
-        emit(row);
-    return os.str();
-}
-
 std::string
 fmtF(double v, int decimals)
 {
@@ -109,12 +69,6 @@ std::string
 fmtMillions(uint64_t cycles, int decimals)
 {
     return fmtF(static_cast<double>(cycles) / 1e6, decimals);
-}
-
-std::string
-fmtPct(double v, int decimals)
-{
-    return fmtF(v, decimals);
 }
 
 std::string

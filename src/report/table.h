@@ -25,13 +25,6 @@ class Table
     /** Render with aligned columns and a header rule. */
     std::string render() const;
 
-    /**
-     * Render as CSV (for plotting / regression diffs). Cells
-     * containing commas, double quotes, or newlines are quoted, with
-     * embedded quotes doubled (RFC 4180).
-     */
-    std::string renderCsv() const;
-
     size_t rowCount() const { return rows_.size(); }
     const std::vector<std::string> &headers() const { return headers_; }
     const std::vector<std::vector<std::string>> &rows() const
@@ -47,7 +40,6 @@ class Table
 /** Format helpers used by the bench experiments. */
 std::string fmtF(double v, int decimals = 1);
 std::string fmtMillions(uint64_t cycles, int decimals = 0);
-std::string fmtPct(double v, int decimals = 0);
 std::string fmtKb(uint64_t bytes, int decimals = 0);
 
 } // namespace nse

@@ -1,7 +1,6 @@
 #include "server/arrivals.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/error.h"
 #include "support/rng.h"
@@ -10,29 +9,12 @@
 namespace nse
 {
 
-const char *
-arrivalKindName(ArrivalKind kind)
-{
-    switch (kind) {
-      case ArrivalKind::Simultaneous:
-        return "simultaneous";
-      case ArrivalKind::Staggered:
-        return "staggered";
-      case ArrivalKind::Uniform:
-        return "uniform";
-      case ArrivalKind::Bursty:
-        return "bursty";
-    }
-    return "?";
-}
-
 std::vector<uint64_t>
 ArrivalPlan::cycles(size_t n) const
 {
     std::vector<uint64_t> out;
     out.reserve(n);
     Rng rng(seed ^ 0xa55a5aa5u);
-    uint64_t clock = 0;
     for (size_t i = 0; i < n; ++i) {
         switch (kind) {
           case ArrivalKind::Simultaneous:
@@ -50,25 +32,6 @@ ArrivalPlan::cycles(size_t n) const
                       "uniform arrivals need windowCycles > 0");
             out.push_back(rng.below(windowCycles));
             break;
-          case ArrivalKind::Bursty: {
-            NSE_CHECK(meanGapCycles > 0,
-                      "bursty arrivals need meanGapCycles > 0");
-            // Inverse-CDF exponential gap from a uniform in (0, 1];
-            // the +1 keeps the draw strictly positive so log() is
-            // finite.
-            double u =
-                (static_cast<double>(rng.below(1u << 20)) + 1.0) /
-                static_cast<double>(1u << 20);
-            double gap = -static_cast<double>(meanGapCycles) *
-                         std::log(u);
-            // Both the double->uint64 cast and the accumulation
-            // saturate: with a near-UINT64_MAX mean gap the raw cast
-            // is UB and the sum wraps, teleporting late clients back
-            // to cycle ~0.
-            clock = satAdd(clock, satFromDouble(gap));
-            out.push_back(clock);
-            break;
-          }
         }
     }
     std::sort(out.begin(), out.end());

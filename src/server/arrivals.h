@@ -23,10 +23,7 @@ enum class ArrivalKind : uint8_t
     Simultaneous, ///< everyone at cycle 0 (worst-case contention)
     Staggered,    ///< fixed spacing: client i at i * meanGapCycles
     Uniform,      ///< seeded uniform draws over [0, windowCycles)
-    Bursty,       ///< seeded exponential gaps averaging meanGapCycles
 };
-
-const char *arrivalKindName(ArrivalKind kind);
 
 /** A deterministic arrival process for N clients. */
 struct ArrivalPlan
@@ -35,7 +32,7 @@ struct ArrivalPlan
     uint64_t seed = 0;
     /** Uniform: arrivals are drawn in [0, windowCycles). */
     uint64_t windowCycles = 0;
-    /** Staggered spacing / Bursty mean inter-arrival gap. */
+    /** Staggered: spacing between consecutive arrivals. */
     uint64_t meanGapCycles = 0;
 
     /**

@@ -490,7 +490,7 @@ runServer(const std::vector<ClientSpec> &clients,
                       ? rt.blockNextUseGlobal
                       : satAdd(rt.epoch, rt.blockClock);
         else if (rt.phase == ClientRt::Phase::Executing)
-            nfu = rt.nextAction;
+            nfu = satAdd(rt.epoch, dueClock(rt));
         else
             nfu = UINT64_MAX;
         bool relevant = demanding != d.demanding ||
@@ -639,11 +639,6 @@ runServer(const std::vector<ClientSpec> &clients,
             }
             actors.push_back(i);
         }
-
-        // Fresh candidates for everyone who acted, so the demand
-        // refresh below sees current next-first-use instants.
-        for (size_t i : actors)
-            computeCandidates(rts[i], opts.edgeCache);
 
         // Incremental demand: refresh only touched clients, and call
         // the allocator only when its output could actually change.

@@ -251,8 +251,8 @@ class OverlappedRun
  * stall-free clock plus every injected stall. runReplay and the
  * schedule ablation drive an OverlappedRun through it; the JIT model
  * (ext_jit), the adaptive interleaver (ext_adaptive) and the
- * block-level column of the granularity ablation wait on transfer
- * models of their own.
+ * block-level column of the granularity ablation wait on a
+ * TransferEngine of their own, laid out for what they model.
  */
 template <typename WaitFn>
 uint64_t

@@ -34,14 +34,6 @@ ByteWriter::patchU16(size_t offset, uint16_t v)
 }
 
 void
-ByteWriter::patchU32(size_t offset, uint32_t v)
-{
-    NSE_ASSERT(offset + 4 <= bytes_.size(), "patch out of range");
-    patchU16(offset, static_cast<uint16_t>(v >> 16));
-    patchU16(offset + 2, static_cast<uint16_t>(v));
-}
-
-void
 ByteReader::require(size_t n) const
 {
     if (remaining() < n) {

@@ -61,8 +61,6 @@ class ByteWriter
 
     /** Overwrite a previously written u16 at an absolute offset. */
     void patchU16(size_t offset, uint16_t v);
-    /** Overwrite a previously written u32 at an absolute offset. */
-    void patchU32(size_t offset, uint32_t v);
 
     size_t size() const { return bytes_.size(); }
     const std::vector<uint8_t> &bytes() const { return bytes_; }

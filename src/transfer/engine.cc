@@ -499,7 +499,7 @@ TransferEngine::scheduleStart(int stream, uint64_t cycle)
     planStart(si, cycle);
 }
 
-void
+bool
 TransferEngine::demandStart(int stream, uint64_t now)
 {
     // Callers track their own clock, which may trail the engine's
@@ -510,14 +510,16 @@ TransferEngine::demandStart(int stream, uint64_t now)
       case StreamState::Active:
       case StreamState::Suspended:
       case StreamState::Done:
-        return; // already on its way
+        return false; // already on its way
       case StreamState::Queued: {
         // Move to the front: "queued up to be transferred next".
+        if (queue_.front() == stream)
+            return false;
         auto it = std::find(queue_.begin(), queue_.end(), stream);
         NSE_ASSERT(it != queue_.end(), "queued stream missing from queue");
         queue_.erase(it);
         queue_.push_front(stream);
-        return;
+        return true;
       }
       case StreamState::Idle:
         planStart(static_cast<size_t>(stream), UINT64_MAX);
@@ -525,8 +527,9 @@ TransferEngine::demandStart(int stream, uint64_t now)
         // above may have moved time_ past `now`, and a stream must
         // never record startedAt in the engine's past.
         activateOrQueue(stream, time_, /*front=*/true);
-        return;
+        return true;
     }
+    return false;
 }
 
 bool

@@ -88,9 +88,11 @@ class TransferEngine
 
     /**
      * Misprediction correction: start (or re-queue at the front) right
-     * now. `now` must be >= the engine's current time.
+     * now. `now` must be >= the engine's current time. Returns whether
+     * the stream moved: an Idle stream started or queued, or a Queued
+     * stream behind another moved to the front.
      */
-    void demandStart(int stream, uint64_t now);
+    bool demandStart(int stream, uint64_t now);
 
     /**
      * Runahead reprioritization: move an *idle* stream's planned start

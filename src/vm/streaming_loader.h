@@ -70,9 +70,6 @@ class StreamingLoader
 
     bool complete() const { return phase_ == LoadPhase::Complete; }
 
-    /** Bytes consumed so far (== bytes fed). */
-    size_t bytesReceived() const { return buffer_.size(); }
-
     /** Stream offset at which the global data completed (0 before). */
     size_t globalDataEnd() const { return globalDataEnd_; }
 

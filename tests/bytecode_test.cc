@@ -110,18 +110,6 @@ TEST(Codec, RejectsTruncatedOperand)
     EXPECT_THROW(decodeCode(truncated), FatalError);
 }
 
-TEST(Codec, DecodeAtMidStream)
-{
-    std::vector<Instruction> prog{
-        {Opcode::PUSH_I8, 3, 0},
-        {Opcode::INEG, 0, 0},
-    };
-    auto bytes = encodeCode(prog);
-    Instruction inst = decodeAt(bytes, 2);
-    EXPECT_EQ(inst.op, Opcode::INEG);
-    EXPECT_EQ(inst.offset, 2u);
-}
-
 TEST(Cond, NegationIsInvolutive)
 {
     for (Cond c : {Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge, Cond::Gt,

@@ -44,25 +44,6 @@ TEST(Table, RejectsMisshapenRows)
     EXPECT_EQ(t.rowCount(), 0u);
 }
 
-TEST(Table, CsvPlainCellsJoinUnquoted)
-{
-    Table t({"x", "y"});
-    t.addRow({"1", "2"});
-    EXPECT_EQ(t.renderCsv(), "x,y\n1,2\n");
-}
-
-TEST(Table, CsvQuotesCommasQuotesAndLineBreaks)
-{
-    Table t({"name", "value"});
-    t.addRow({"a,b", "plain"});
-    t.addRow({"say \"hi\"", "line\nbreak"});
-    t.addRow({"cr\rcell", "trailing,"});
-    EXPECT_EQ(t.renderCsv(), "name,value\n"
-                             "\"a,b\",plain\n"
-                             "\"say \"\"hi\"\"\",\"line\nbreak\"\n"
-                             "\"cr\rcell\",\"trailing,\"\n");
-}
-
 TEST(Json, QuoteEscapesControlAndSpecialCharacters)
 {
     EXPECT_EQ(jsonQuote("plain"), "\"plain\"");
@@ -170,7 +151,6 @@ TEST(Format, Helpers)
     EXPECT_EQ(fmtF(2.0, 0), "2");
     EXPECT_EQ(fmtMillions(2'500'000, 1), "2.5");
     EXPECT_EQ(fmtMillions(999, 0), "0");
-    EXPECT_EQ(fmtPct(12.34, 1), "12.3");
     EXPECT_EQ(fmtKb(2048), "2");
     EXPECT_EQ(fmtKb(1536, 1), "1.5");
 }

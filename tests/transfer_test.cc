@@ -259,6 +259,29 @@ TEST(Engine, DemandStartQueuedStreamMovesToFrontUnderLimit)
     EXPECT_EQ(e.stream(c).startedAt, 100'000u);
 }
 
+TEST(Engine, DemandStartReportsWhetherItMovedTheStream)
+{
+    TransferEngine e(kCpb, 1);
+    int a = e.addStream("a", 100);
+    int b = e.addStream("b", 100);
+    int c = e.addStream("c", 100);
+    int d = e.addStream("d", 100); // never scheduled
+    e.scheduleStart(a, 0);
+    e.scheduleStart(b, 0);
+    e.scheduleStart(c, 0);
+    e.advanceTo(0); // a in flight; b, c queued
+
+    EXPECT_TRUE(e.demandStart(d, 0)); // Idle: queued at the front
+    EXPECT_EQ(e.stream(d).state, StreamState::Queued);
+    EXPECT_TRUE(e.demandStart(c, 0));  // Queued behind d and b
+    EXPECT_FALSE(e.demandStart(c, 0)); // Queued, already first
+    EXPECT_FALSE(e.demandStart(a, 0)); // Active
+    EXPECT_EQ(e.waitFor(c, 100, 0), 20'000u); // c went first
+    EXPECT_FALSE(e.demandStart(a, 20'000)); // Done
+    EXPECT_EQ(e.waitFor(d, 100, 0), 30'000u);
+    EXPECT_EQ(e.waitFor(b, 100, 0), 40'000u);
+}
+
 TEST(Engine, WatchCrossingExactlyAtStreamCompletion)
 {
     TransferEngine e(kCpb, -1);
