@@ -1,5 +1,5 @@
 # Runs one malformed command line of a command-line tool (nse_cli,
-# nse_audit) and requires exit status 2 with the usage text in its
+# nse_audit, schedule_viz) and requires exit status 2 with the usage text in its
 # output:
 #
 #   cmake -P expect_usage.cmake -- <tool> <args...>

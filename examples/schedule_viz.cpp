@@ -7,28 +7,68 @@
  *
  * Usage:  ./build/examples/schedule_viz [workload] [limit]
  *         workload in {BIT, Hanoi, JavaCup, Jess, JHLZip, TestDes}
+ *         (default TestDes); limit = concurrent transfers, 0 =
+ *         unlimited (default 4)
+ *
+ * An unknown workload, a limit that is not a plain decimal in range,
+ * or an extra argument prints the reason and the usage and exits 2.
  */
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <iomanip>
 #include <iostream>
 #include <string>
 
 #include "restructure/layout.h"
 #include "sim/replay.h"
+#include "support/error.h"
 #include "transfer/engine.h"
 #include "transfer/schedule.h"
 #include "workloads/workload.h"
 
 using namespace nse;
 
+namespace
+{
+
+int
+usage(const std::string &error)
+{
+    std::cerr << "error: " << error << "\n"
+              << "usage: schedule_viz [workload] [limit]\n"
+                 "workloads: BIT Hanoi JavaCup Jess JHLZip TestDes\n"
+                 "limit: concurrent transfers, 0 = unlimited "
+                 "(default 4)\n";
+    return 2;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
+    if (argc > 3)
+        return usage("too many arguments");
     std::string name = argc > 1 ? argv[1] : "TestDes";
-    int limit = argc > 2 ? std::stoi(argv[2]) : 4;
+    int limit = 4;
+    if (argc > 2) {
+        std::string text = argv[2];
+        const char *end = text.data() + text.size();
+        auto [ptr, ec] = std::from_chars(text.data(), end, limit);
+        if (ec != std::errc() || ptr != end || limit < 0)
+            return usage("limit needs a count in [0, " +
+                         std::to_string(INT_MAX) + "], got '" + text +
+                         "'");
+    }
 
-    Workload w = makeWorkload(name);
+    Workload w;
+    try {
+        w = makeWorkload(name);
+    } catch (const FatalError &e) {
+        return usage(e.what());
+    }
     SimContext ctx(w.program, w.natives, w.trainInput, w.testInput);
     const FirstUseOrder &order = ctx.ordering(OrderingSource::Test);
     TransferLayout layout =
