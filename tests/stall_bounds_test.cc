@@ -2,8 +2,9 @@
  * @file
  * Static stall prover tests: the sandwich identity against measured
  * replay stalls on every (workload, ordering, partitioning) cell, the
- * provable-stall diagnostic wiring, and the pinned guarantee that the
- * `mustuse` ordering never loses to `rta` on the workloads' stalls.
+ * provable-stall diagnostic wiring, the pinned guarantee that the
+ * `mustuse` ordering never loses to `rta` on the workloads' stalls,
+ * and a digest of every `mustuse` order and its stall bounds.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "analysis/stall_bounds.h"
 #include "sim/context.h"
 #include "sim/replay.h"
+#include "support/fnv1a.h"
 #include "workloads/workload.h"
 
 namespace nse
@@ -119,6 +121,44 @@ TEST(MustUseOrdering, NeverLosesToRtaOnWorkloadStalls)
                       stallOf(OrderingSource::RtaStatic));
         }
     }
+}
+
+TEST(MustUseOrdering, OrdersAndBoundsArePinned)
+{
+    // Every `mustuse` order and the T1 stall bounds of its plain and
+    // partitioned layouts. The order sorts by proved deadlines and the
+    // bounds read every global fact, so a change to the use analysis
+    // that moves any fact the prover consumes moves this value.
+    Fnv1a h;
+    for (Workload &w : allWorkloads()) {
+        SimContext ctx(w.program, w.natives, w.trainInput, w.testInput);
+        h.str(w.name);
+        const FirstUseOrder &mu = ctx.ordering(OrderingSource::MustUse);
+        h.u64(mu.usedCount);
+        h.u64(mu.order.size());
+        for (const MethodId &id : mu.order) {
+            h.u64(id.classIdx);
+            h.u64(id.methodIdx);
+        }
+        for (bool partitioned : {false, true}) {
+            LayoutKey key;
+            key.parallel = true;
+            key.ordering = OrderingSource::MustUse;
+            key.partitioned = partitioned;
+            StallBoundReport report = boundsFor(ctx, key, kT1Link);
+            h.u64(report.runLowerBound);
+            h.u64(report.runUpperBound);
+            h.u64(report.provableStalls);
+            h.u64(report.methods.size());
+            for (const MethodStallBound &m : report.methods) {
+                h.u64(m.method.classIdx);
+                h.u64(m.method.methodIdx);
+                h.u64(m.lowerStall);
+                h.u64(m.upperStall);
+            }
+        }
+    }
+    EXPECT_EQ(h.h, 0x8924db98b805af24ull);
 }
 
 } // namespace
