@@ -99,20 +99,15 @@ computeLoopsBelow(Cfg &cfg)
     }
 }
 
-} // namespace
-
+/** The CFG over `insts`, the instructions of `vm` (moved out of it
+ *  or copied; `vm` still maps branch offsets to indices). */
 Cfg
-buildCfg(const Program &prog, MethodId id)
+buildFrom(const Program &prog, MethodId id,
+          std::vector<Instruction> insts, const VerifiedMethod &vm)
 {
-    const MethodInfo &m = prog.method(id);
-    NSE_CHECK(!m.isNative(), "cannot build a CFG for native method ",
-              prog.methodLabel(id));
-
     Cfg cfg;
     cfg.method = id;
-    Verifier verifier(prog);
-    VerifiedMethod vm = verifier.verifyMethod(id);
-    cfg.insts = std::move(vm.insts);
+    cfg.insts = std::move(insts);
     size_t n = cfg.insts.size();
 
     // Leaders: entry, branch targets, instruction after a branch/return.
@@ -185,6 +180,32 @@ buildCfg(const Program &prog, MethodId id)
     computeLoopDepths(cfg);
     computeLoopsBelow(cfg);
     return cfg;
+}
+
+void
+checkNotNative(const Program &prog, MethodId id)
+{
+    NSE_CHECK(!prog.method(id).isNative(),
+              "cannot build a CFG for native method ",
+              prog.methodLabel(id));
+}
+
+} // namespace
+
+Cfg
+buildCfg(const Program &prog, MethodId id)
+{
+    checkNotNative(prog, id);
+    VerifiedMethod vm = Verifier(prog).verifyMethod(id);
+    std::vector<Instruction> insts = std::move(vm.insts);
+    return buildFrom(prog, id, std::move(insts), vm);
+}
+
+Cfg
+buildCfg(const Program &prog, MethodId id, const VerifiedMethod &vm)
+{
+    checkNotNative(prog, id);
+    return buildFrom(prog, id, vm.insts, vm);
 }
 
 } // namespace nse

@@ -16,6 +16,7 @@
 
 #include "bytecode/instruction.h"
 #include "program/program.h"
+#include "vm/verifier.h"
 
 namespace nse
 {
@@ -68,8 +69,16 @@ struct Cfg
  * Build the CFG of one (non-native) method. Virtual call targets are
  * resolved from the static receiver class (the estimator's
  * approximation — the profile-guided path measures the truth).
+ * Verifies the body first.
  */
 Cfg buildCfg(const Program &prog, MethodId id);
+
+/**
+ * The same CFG over a body the `Verifier` already produced for `id`
+ * (e.g. `DecodedCache::get(id).verified`), so nothing is verified
+ * twice.
+ */
+Cfg buildCfg(const Program &prog, MethodId id, const VerifiedMethod &vm);
 
 } // namespace nse
 

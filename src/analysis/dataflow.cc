@@ -80,7 +80,7 @@ struct UseDistanceProblem
 {
     struct State
     {
-        std::map<MethodId, UseFact> uses;
+        UseRow uses;
         uint64_t minExit = 0;
         uint64_t maxExit = 0;
 
@@ -92,19 +92,26 @@ struct UseDistanceProblem
         }
     };
 
+    /** A target and one distance to it, the rows applyCall gathers. */
+    using Dist = std::pair<MethodId, uint64_t>;
+
     /** The fixpoint's current (pessimistic-side) view of every
      *  method's summary. */
     const UseAnalysis &current;
     const std::vector<DInst> &plain;
-    /** Call sites of this method keyed by instruction index. */
-    std::map<uint32_t, const CallSite *> siteAt;
+    /** Call site at each instruction index; nullptr where there is
+     *  none, or where RTA leaves the site no dispatch target (it can
+     *  never execute a call, so it costs like a plain instruction). */
+    std::vector<const CallSite *> siteAt;
 
     UseDistanceProblem(const UseAnalysis &ua, const MethodNode &node,
                        const std::vector<DInst> &plain_stream)
-        : current(ua), plain(plain_stream)
+        : current(ua), plain(plain_stream),
+          siteAt(plain_stream.size(), nullptr)
     {
         for (const CallSite &s : node.sites)
-            siteAt.emplace(s.instIndex, &s);
+            if (!s.rtaTargets.empty())
+                siteAt.at(s.instIndex) = &s;
     }
 
     const MethodUseSummary &
@@ -135,23 +142,34 @@ struct UseDistanceProblem
     void
     meet(State &into, const State &from) const
     {
-        // Path join: may = union/min, must = intersection/max.
-        for (auto &[id, f] : from.uses) {
-            auto [it, fresh] = into.uses.emplace(id, f);
-            if (fresh)
-                it->second.must = false; // absent on the other branch
-            else {
-                UseFact &g = it->second;
+        // Path join, one merge of the two sorted rows: may =
+        // union/min, must = intersection/max. A fact absent on one
+        // side stops being must but keeps its mustMax.
+        UseRow joined;
+        joined.reserve(into.uses.size() + from.uses.size());
+        auto a = into.uses.begin(), a_end = into.uses.end();
+        auto b = from.uses.begin(), b_end = from.uses.end();
+        while (a != a_end || b != b_end) {
+            if (b == b_end || (a != a_end && a->first < b->first)) {
+                joined.push_back(*a++);
+                joined.back().second.must = false;
+            } else if (a == a_end || b->first < a->first) {
+                joined.push_back(*b++);
+                joined.back().second.must = false;
+            } else {
+                UseFact g = a->second;
+                const UseFact &f = b->second;
                 g.mayMin = std::min(g.mayMin, f.mayMin);
                 if (g.must && f.must)
                     g.mustMax = std::max(g.mustMax, f.mustMax);
                 else
                     g.must = false;
+                joined.emplace_back(a->first, g);
+                ++a;
+                ++b;
             }
         }
-        for (auto &[id, f] : into.uses)
-            if (f.must && from.uses.find(id) == from.uses.end())
-                f.must = false;
+        into.uses = std::move(joined);
         into.minExit = std::min(into.minExit, from.minExit);
         into.maxExit = std::max(into.maxExit, from.maxExit);
     }
@@ -164,28 +182,46 @@ struct UseDistanceProblem
         // killed and the exit upper bound saturates (trip counts are
         // statically unbounded).
         State s;
+        s.uses.reserve(from.uses.size());
         for (auto &[id, f] : from.uses) {
             UseFact g;
             g.mayMin = f.mayMin;
-            s.uses.emplace(id, g);
+            s.uses.emplace_back(id, g);
         }
         s.minExit = from.minExit;
         s.maxExit = kDistInf;
         return s;
     }
 
-    /** Fold one call site (invoke cost already handled by caller:
-     *  the hook fires `cost` cycles after the pre-call point). */
+    /** Targets candidate `c` guarantees, with their bounds: `c`
+     *  itself at 0, then its summary's must facts; sorted. */
+    std::vector<Dist>
+    mustRowOf(MethodId c) const
+    {
+        std::vector<Dist> row;
+        bool self = false;
+        for (auto &[id, f] : summaryOf(c).uses) {
+            if (!self && !(id < c)) {
+                row.emplace_back(c, 0); // being the candidate counts
+                self = true;
+                if (id == c)
+                    continue;
+            }
+            if (f.must)
+                row.emplace_back(id, f.mustMax);
+        }
+        if (!self)
+            row.emplace_back(c, 0);
+        return row;
+    }
+
+    /** Fold one call site with at least one RTA target (invoke cost
+     *  already handled by caller: the hook fires `cost` cycles after
+     *  the pre-call point). */
     void
     applyCall(State &state, const CallSite &site, uint64_t cost) const
     {
         const std::vector<MethodId> &cands = site.rtaTargets;
-        if (cands.empty()) {
-            // RTA-impossible dispatch: site can never execute a call;
-            // treat as a plain instruction.
-            shift(state, cost);
-            return;
-        }
         uint64_t min_exec = kDistInf, max_exec = 0;
         for (MethodId c : cands) {
             const MethodUseSummary &s = summaryOf(c);
@@ -198,28 +234,40 @@ struct UseDistanceProblem
         out.maxExit = distAdd(cost, distAdd(max_exec, state.maxExit));
 
         // Everything reachable at or through the call, plus the
-        // continuation shifted by the call's exec interval.
-        auto &uses = out.uses;
-        auto mergeMay = [&](MethodId id, uint64_t may_min) {
-            auto [it, fresh] = uses.emplace(id, UseFact{});
-            if (fresh || may_min < it->second.mayMin)
-                it->second.mayMin = may_min;
-        };
+        // continuation shifted by the call's exec interval: gather
+        // every (target, distance), sort, keep each target's minimum.
+        std::vector<Dist> may;
         for (MethodId c : cands) {
-            mergeMay(c, cost); // the callee's own hook
+            may.emplace_back(c, cost); // the callee's own hook
             for (auto &[id, f] : summaryOf(c).uses)
-                mergeMay(id, distAdd(cost, f.mayMin));
+                may.emplace_back(id, distAdd(cost, f.mayMin));
         }
         for (auto &[id, f] : state.uses)
-            mergeMay(id, distAdd(cost, distAdd(min_exec, f.mayMin)));
+            may.emplace_back(id,
+                             distAdd(cost, distAdd(min_exec, f.mayMin)));
+        std::sort(may.begin(), may.end(),
+                  [](const Dist &x, const Dist &y) {
+                      return x.first == y.first ? x.second < y.second
+                                                : x.first < y.first;
+                  });
+        UseRow &uses = out.uses;
+        for (auto &[id, d] : may) {
+            if (!uses.empty() && uses.back().first == id)
+                continue;
+            UseFact f;
+            f.mayMin = d;
+            uses.emplace_back(id, f);
+        }
 
         // Must side: a target is guaranteed here if every dispatch
         // candidate guarantees it (being the candidate counts), or if
         // the continuation guarantees it and every candidate provably
         // returns. Take the tighter of the two bounds when both hold.
         auto considerMust = [&](MethodId id, uint64_t must_max) {
-            auto it = uses.find(id);
-            NSE_ASSERT(it != uses.end(),
+            auto it = std::lower_bound(
+                uses.begin(), uses.end(), id,
+                [](const auto &e, MethodId k) { return e.first < k; });
+            NSE_ASSERT(it != uses.end() && it->first == id,
                        "must fact without matching may fact");
             UseFact &g = it->second;
             if (!g.must || must_max < g.mustMax) {
@@ -227,37 +275,24 @@ struct UseDistanceProblem
                 g.mustMax = std::min(g.mustMax, must_max);
             }
         };
-        // ... via the callee(s):
-        {
-            std::map<MethodId, uint64_t> by_all;
-            bool first = true;
-            for (MethodId c : cands) {
-                const MethodUseSummary &s = summaryOf(c);
-                std::map<MethodId, uint64_t> mine;
-                mine.emplace(c, 0);
-                for (auto &[id, f] : s.uses)
-                    if (f.must)
-                        mine.emplace(id, f.mustMax);
-                if (first) {
-                    by_all = std::move(mine);
-                    first = false;
-                } else {
-                    for (auto it = by_all.begin();
-                         it != by_all.end();) {
-                        auto jt = mine.find(it->first);
-                        if (jt == mine.end()) {
-                            it = by_all.erase(it);
-                        } else {
-                            it->second =
-                                std::max(it->second, jt->second);
-                            ++it;
-                        }
-                    }
-                }
+        // ... via the callee(s): intersect the candidates' rows,
+        // keeping each target's largest bound.
+        std::vector<Dist> by_all = mustRowOf(cands.front());
+        for (size_t k = 1; k < cands.size(); ++k) {
+            std::vector<Dist> mine = mustRowOf(cands[k]);
+            size_t kept = 0;
+            auto jt = mine.begin();
+            for (size_t i = 0; i < by_all.size(); ++i) {
+                auto [id, m] = by_all[i];
+                while (jt != mine.end() && jt->first < id)
+                    ++jt;
+                if (jt != mine.end() && jt->first == id)
+                    by_all[kept++] = Dist{id, std::max(m, jt->second)};
             }
-            for (auto &[id, m] : by_all)
-                considerMust(id, distAdd(cost, m));
+            by_all.resize(kept);
         }
+        for (auto &[id, m] : by_all)
+            considerMust(id, distAdd(cost, m));
         // ... via the continuation:
         for (auto &[id, f] : state.uses)
             if (f.must)
@@ -270,6 +305,8 @@ struct UseDistanceProblem
     void
     shift(State &state, uint64_t cost) const
     {
+        if (cost == 0)
+            return;
         state.minExit = distAdd(state.minExit, cost);
         state.maxExit = distAdd(state.maxExit, cost);
         for (auto &[id, f] : state.uses) {
@@ -282,16 +319,23 @@ struct UseDistanceProblem
     State
     transfer(const Cfg &cfg, uint32_t block, const State &flow_in) const
     {
+        // One shift per straight-line run between call sites, not one
+        // per instruction. distAdd is addition saturating at
+        // kDistInf == UINT64_MAX, which is associative, so shifting by
+        // a run's summed cost equals shifting by each cost in turn.
         State state = flow_in;
         const BasicBlock &b = cfg.blocks[block];
+        uint64_t run = 0;
         for (uint32_t i = b.last + 1; i-- > b.first;) {
-            uint64_t cost = plain[i].cost;
-            auto site = siteAt.find(i);
-            if (site != siteAt.end())
-                applyCall(state, *site->second, cost);
-            else
-                shift(state, cost);
+            if (const CallSite *site = siteAt[i]) {
+                shift(state, run);
+                run = 0;
+                applyCall(state, *site, plain[i].cost);
+            } else {
+                run = distAdd(run, plain[i].cost);
+            }
         }
+        shift(state, run);
         return state;
     }
 };
@@ -478,14 +522,29 @@ condense(const std::vector<std::vector<uint32_t>> &succs)
 
 } // namespace
 
+uint32_t
+UseAnalysis::slotOf(MethodId id) const
+{
+    if (id.classIdx >= slot_.size() ||
+        id.methodIdx >= slot_[id.classIdx].size())
+        return kNoSlot;
+    return slot_[id.classIdx][id.methodIdx];
+}
+
 const MethodUseSummary &
 UseAnalysis::summary(MethodId id) const
 {
-    if (id.classIdx >= slot_.size() ||
-        id.methodIdx >= slot_[id.classIdx].size() ||
-        slot_[id.classIdx][id.methodIdx] == kNoSlot)
-        return pessimisticSummary();
-    return summaries_[slot_[id.classIdx][id.methodIdx]];
+    uint32_t v = slotOf(id);
+    return v == kNoSlot ? pessimisticSummary() : summaries_[v];
+}
+
+const Cfg *
+UseAnalysis::cfg(MethodId id) const
+{
+    uint32_t v = slotOf(id);
+    if (v == kNoSlot || cfgs_[v].blocks.empty())
+        return nullptr;
+    return &cfgs_[v];
 }
 
 UseFact
@@ -545,7 +604,7 @@ analyzeUse(const Program &prog, const CallGraph &cg,
     // only when an in-component callee's summary moved; a
     // non-recursive method is solved exactly once.
     Condensation sccs = condense(callees);
-    std::vector<Cfg> cfgs(n);
+    ua.cfgs_.resize(n);
     std::vector<uint8_t> queued(n, 0);
     std::deque<uint32_t> work;
     for (size_t c = 0; c + 1 < sccs.begin.size(); ++c) {
@@ -553,7 +612,8 @@ analyzeUse(const Program &prog, const CallGraph &cg,
             uint32_t v = sccs.nodes[k];
             if (cg.node(methods[v]).native)
                 continue; // summary is constant
-            cfgs[v] = buildCfg(prog, methods[v]);
+            ua.cfgs_[v] = buildCfg(prog, methods[v],
+                                   decoded.get(methods[v]).verified);
             work.push_back(v);
             queued[v] = 1;
         }
@@ -563,7 +623,7 @@ analyzeUse(const Program &prog, const CallGraph &cg,
             queued[v] = 0;
             ++ua.iterations_;
             MethodUseSummary next =
-                solveMethod(ua, cg.node(methods[v]), cfgs[v],
+                solveMethod(ua, cg.node(methods[v]), ua.cfgs_[v],
                             decoded.get(methods[v]));
             if (ua.summaries_[v] == next)
                 continue;
@@ -579,14 +639,13 @@ analyzeUse(const Program &prog, const CallGraph &cg,
     // Global view: the entry method's summary, plus the entry itself
     // (its hook fires at clock 0 before any instruction runs).
     MethodId entry = prog.entry();
-    ua.global_ = ua.summary(entry).uses;
+    const UseRow &row = ua.summary(entry).uses;
+    ua.global_ = std::map<MethodId, UseFact>(row.begin(), row.end());
     UseFact self;
     self.mayMin = 0;
     self.must = true;
     self.mustMax = 0;
-    auto [it, fresh] = ua.global_.emplace(entry, self);
-    if (!fresh)
-        it->second = self;
+    ua.global_.insert_or_assign(entry, self);
     return ua;
 }
 

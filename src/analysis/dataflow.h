@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "analysis/callgraph.h"
+#include "analysis/cfg.h"
 #include "program/program.h"
 #include "support/saturate.h"
 
@@ -77,12 +78,16 @@ struct UseFact
     }
 };
 
+/** Facts about targets, one row entry per target, sorted by
+ *  `MethodId` (the order of `UseAnalysis`'s dense slots). */
+using UseRow = std::vector<std::pair<MethodId, UseFact>>;
+
 /** Per-method interprocedural summary. */
 struct MethodUseSummary
 {
-    /** Facts about every target this method can reach, keyed by
+    /** Facts about every target this method can reach, sorted by
      *  callee; distances relative to this method's entry. */
-    std::map<MethodId, UseFact> uses;
+    UseRow uses;
     /** Execution-cost interval of running the method to its return:
      *  minExec is an exact lower bound; maxExec saturates to kDistInf
      *  when any path loops or recurses. */
@@ -102,7 +107,9 @@ struct MethodUseSummary
  * method, composed over the RTA call graph to
  * a fixpoint. The call graph's strongly connected components are
  * solved callees-first, so a non-recursive method is solved exactly
- * once and only a recursive cycle iterates. Build once per (program,
+ * once and only a recursive cycle iterates. Each method's CFG is
+ * built once and kept, so the RTA estimator behind
+ * `mustUseFirstUse` walks the same graphs. Build once per (program,
  * call graph) via `analyzeUse()`; all accessors are const.
  */
 class UseAnalysis
@@ -123,6 +130,11 @@ class UseAnalysis
     /** Global fact for one method; empty/never fact if unreachable. */
     UseFact globalOf(MethodId id) const;
 
+    /** The CFG the solver walked for one RTA-reachable bytecode
+     *  method, built once from the decoded cache's verified body;
+     *  nullptr for natives and unreachable methods. */
+    const Cfg *cfg(MethodId id) const;
+
     /**
      * Method solves the fixpoint ran: one per RTA-reachable bytecode
      * method, plus every re-solve inside a recursive cycle. A
@@ -138,19 +150,24 @@ class UseAnalysis
 
     static constexpr uint32_t kNoSlot = UINT32_MAX;
 
+    /** Dense index of `id`, or kNoSlot. */
+    uint32_t slotOf(MethodId id) const;
+
     /** Dense index of every RTA-reachable method, by class then
      *  method index; kNoSlot for the unreachable. */
     std::vector<std::vector<uint32_t>> slot_;
-    /** Summaries by dense index. */
+    /** Summaries and CFGs (empty for natives) by dense index. */
     std::vector<MethodUseSummary> summaries_;
+    std::vector<Cfg> cfgs_;
     std::map<MethodId, UseFact> global_;
     size_t iterations_ = 0;
 };
 
 /**
- * Run the analysis. `decoded` supplies the per-instruction cycle
- * costs (its `plain` stream is 1:1 with the verified instructions the
- * CFG is built over). `natives` prices native callees; pass nullptr
+ * Run the analysis. `decoded` supplies each method's verified body,
+ * which its CFG is built over, and the per-instruction cycle costs
+ * (its `plain` stream is 1:1 with those verified instructions).
+ * `natives` prices native callees; pass nullptr
  * to treat native execution cost as the fully conservative [0, inf)
  * interval (sound, but kills must-facts scheduled after native
  * calls).

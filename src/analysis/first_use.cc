@@ -18,13 +18,14 @@ namespace
  *  through the call graph: the legacy static estimate follows each
  *  site's single staticTarget; the RTA-pruned estimate follows
  *  rtaTargets (statically-resolved target first, so the orders agree
- *  wherever pruning removes nothing). */
+ *  wherever pruning removes nothing). A method's CFG comes from
+ *  `built` when it holds one, else it is built here. */
 class StaticEstimator
 {
   public:
     StaticEstimator(const Program &prog, const CallGraph &cg,
-                    bool use_rta)
-        : prog_(prog), cg_(cg), useRta_(use_rta)
+                    bool use_rta, const UseAnalysis *built = nullptr)
+        : prog_(prog), cg_(cg), useRta_(use_rta), built_(built)
     {
     }
 
@@ -44,7 +45,10 @@ class StaticEstimator
         order_.push_back(id);
         if (prog_.method(id).isNative())
             return;
-        traverse(buildCfg(prog_, id));
+        if (const Cfg *cfg = built_ ? built_->cfg(id) : nullptr)
+            traverse(*cfg);
+        else
+            traverse(buildCfg(prog_, id));
     }
 
     void
@@ -136,6 +140,7 @@ class StaticEstimator
     const Program &prog_;
     const CallGraph &cg_;
     bool useRta_;
+    const UseAnalysis *built_;
     std::set<MethodId> visited_;
     std::vector<MethodId> order_;
 };
@@ -181,10 +186,15 @@ staticFirstUse(const Program &prog)
     return out;
 }
 
-FirstUseOrder
-staticFirstUse(const Program &prog, const CallGraph &cg)
+namespace
 {
-    StaticEstimator estimator(prog, cg, /*use_rta=*/true);
+
+/** The RTA estimate; CFGs come from `built` where it holds them. */
+FirstUseOrder
+rtaFirstUse(const Program &prog, const CallGraph &cg,
+            const UseAnalysis *built)
+{
+    StaticEstimator estimator(prog, cg, /*use_rta=*/true, built);
     FirstUseOrder out;
     out.order = estimator.run();
     out.usedCount = out.order.size();
@@ -207,11 +217,20 @@ staticFirstUse(const Program &prog, const CallGraph &cg)
     return out;
 }
 
+} // namespace
+
+FirstUseOrder
+staticFirstUse(const Program &prog, const CallGraph &cg)
+{
+    return rtaFirstUse(prog, cg, nullptr);
+}
+
 FirstUseOrder
 mustUseFirstUse(const Program &prog, const CallGraph &cg,
                 const UseAnalysis &use)
 {
-    FirstUseOrder out = staticFirstUse(prog, cg);
+    // The RTA estimate over the CFGs the analysis already built.
+    FirstUseOrder out = rtaFirstUse(prog, cg, &use);
     // Collect the hot-prefix slots holding a method with a proved
     // guaranteed-use deadline and re-sort just those methods among
     // just those slots. The permutation is deliberately minimal:

@@ -10,10 +10,14 @@
 
 #include "support/error.h"
 
+#include "analysis/callgraph.h"
 #include "analysis/cfg.h"
+#include "analysis/dataflow.h"
 #include "analysis/first_use.h"
 #include "program/builder.h"
+#include "vm/decoded.h"
 #include "workloads/common.h"
+#include "workloads/workload.h"
 
 namespace nse
 {
@@ -125,6 +129,62 @@ TEST(Cfg, NativeMethodRejected)
     Program p = pb.build("T");
     EXPECT_THROW(buildCfg(p, p.resolveStatic("T", "n", "()V")),
                  FatalError);
+}
+
+/** Field-by-field equality of two CFGs of the same method. */
+void
+expectSameCfg(const Cfg &got, const Cfg &want)
+{
+    EXPECT_EQ(got.method, want.method);
+    ASSERT_EQ(got.insts.size(), want.insts.size());
+    for (size_t i = 0; i < got.insts.size(); ++i) {
+        EXPECT_EQ(got.insts[i].op, want.insts[i].op) << i;
+        EXPECT_EQ(got.insts[i].operand, want.insts[i].operand) << i;
+        EXPECT_EQ(got.insts[i].offset, want.insts[i].offset) << i;
+    }
+    ASSERT_EQ(got.blocks.size(), want.blocks.size());
+    for (size_t b = 0; b < got.blocks.size(); ++b) {
+        const BasicBlock &g = got.blocks[b], &w = want.blocks[b];
+        EXPECT_EQ(g.first, w.first) << b;
+        EXPECT_EQ(g.last, w.last) << b;
+        EXPECT_EQ(g.succs, w.succs) << b;
+        EXPECT_EQ(g.preds, w.preds) << b;
+        EXPECT_EQ(g.calls, w.calls) << b;
+        EXPECT_EQ(g.byteSize, w.byteSize) << b;
+    }
+    EXPECT_EQ(got.blockOfInst, want.blockOfInst);
+    EXPECT_EQ(got.backEdges, want.backEdges);
+    EXPECT_EQ(got.loopDepth, want.loopDepth);
+    EXPECT_EQ(got.innerHeader, want.innerHeader);
+    EXPECT_EQ(got.loopsBelow, want.loopsBelow);
+}
+
+TEST(Cfg, VerifiedBodyOverloadMatchesRebuild)
+{
+    // The CFG over the decoded cache's verified body, and the one the
+    // use analysis keeps, are the CFG a fresh verification builds.
+    for (Workload &w : allWorkloads()) {
+        SCOPED_TRACE(w.name);
+        const Program &prog = w.program;
+        CallGraph cg = buildCallGraph(prog);
+        DecodedCache dc(prog);
+        UseAnalysis ua = analyzeUse(prog, cg, dc, &w.natives);
+        size_t checked = 0;
+        prog.forEachMethod([&](MethodId id, const ClassFile &,
+                               const MethodInfo &m) {
+            if (!cg.rtaReachable(id) || m.isNative())
+                return;
+            SCOPED_TRACE(prog.methodLabel(id));
+            Cfg rebuilt = buildCfg(prog, id);
+            expectSameCfg(buildCfg(prog, id, dc.get(id).verified),
+                          rebuilt);
+            const Cfg *kept = ua.cfg(id);
+            ASSERT_NE(kept, nullptr);
+            expectSameCfg(*kept, rebuilt);
+            ++checked;
+        });
+        EXPECT_GT(checked, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------
