@@ -17,9 +17,9 @@
  *   --limit N             concurrent transfers, 0 = unlimited (default 4)
  *   --partition           enable global-data partitioning
  *
- * A malformed command line (unknown option or value, a count that is
- * not a plain decimal in range) prints the reason and the usage and
- * exits 2.
+ * A malformed command line (unknown workload, option or value, a count
+ * that is not a plain decimal in range) prints the reason and the
+ * usage and exits 2.
  *
  * Examples:
  *   nse_cli stats Jess
@@ -64,6 +64,17 @@ struct UsageError : std::runtime_error
 {
     using std::runtime_error::runtime_error;
 };
+
+/** The named workload; an unknown name is a usage error. */
+Workload
+workloadNamed(const char *name)
+{
+    try {
+        return makeWorkload(name);
+    } catch (const FatalError &e) {
+        throw UsageError(e.what());
+    }
+}
 
 /** `s` as a plain decimal count in [0, max]: a sign, blank or
  *  trailing text, or a value past `max` is a usage error. */
@@ -261,7 +272,7 @@ main(int argc, char **argv)
         return usage();
     std::string cmd = argv[1];
     try {
-        Workload w = makeWorkload(argv[2]);
+        Workload w = workloadNamed(argv[2]);
         if (cmd == "stats")
             return cmdStats(w);
         if (cmd == "save")
