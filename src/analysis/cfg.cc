@@ -197,8 +197,7 @@ buildCfg(const Program &prog, MethodId id)
 {
     checkNotNative(prog, id);
     VerifiedMethod vm = Verifier(prog).verifyMethod(id);
-    std::vector<Instruction> insts = std::move(vm.insts);
-    return buildFrom(prog, id, std::move(insts), vm);
+    return buildFrom(prog, id, std::move(vm.insts), vm);
 }
 
 Cfg

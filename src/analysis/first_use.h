@@ -72,7 +72,8 @@ FirstUseOrder staticFirstUse(const Program &prog, const CallGraph &cg);
  * may-only methods keep their RTA positions, so the DFS encounter
  * heuristic stays authoritative wherever the analysis proves nothing
  * (it "breaks RTA ties by guaranteed-use distance", never overrules
- * RTA with a weaker fact).
+ * RTA with a weaker fact). The RTA estimate walks the CFGs `use`
+ * already built, so no method is verified again.
  */
 FirstUseOrder mustUseFirstUse(const Program &prog, const CallGraph &cg,
                               const UseAnalysis &use);
