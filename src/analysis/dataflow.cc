@@ -245,11 +245,7 @@ struct UseDistanceProblem
         for (auto &[id, f] : state.uses)
             may.emplace_back(id,
                              distAdd(cost, distAdd(min_exec, f.mayMin)));
-        std::sort(may.begin(), may.end(),
-                  [](const Dist &x, const Dist &y) {
-                      return x.first == y.first ? x.second < y.second
-                                                : x.first < y.first;
-                  });
+        std::sort(may.begin(), may.end());
         UseRow &uses = out.uses;
         for (auto &[id, d] : may) {
             if (!uses.empty() && uses.back().first == id)
