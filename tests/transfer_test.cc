@@ -3,8 +3,8 @@
  * Transfer-engine tests: exact single-stream timing, equal bandwidth
  * sharing, concurrency limits and queueing, demand fetches, waitFor
  * semantics, the watch machinery the scheduler uses, resuming from
- * integrateTo, and a seeded behaviour digest over the whole public
- * surface.
+ * integrateTo, a seeded behaviour digest over the whole public
+ * surface, and a digest of the pure queries after every public call.
  */
 
 #include <gtest/gtest.h>
@@ -445,24 +445,56 @@ sweepPlan(SweepLink link, uint64_t seed)
 }
 
 /**
+ * Folds the engine's pure query answers into `q`: the clock,
+ * nextEventTime, and for each of the first `n` streams nextStepToward
+ * and hasArrived at an offset drawn from `rng`.
+ */
+void
+foldQueries(Fnv1a &q, const TransferEngine &e, Rng &rng, int n)
+{
+    q.u64(e.time());
+    q.u64(e.nextEventTime());
+    for (int i = 0; i < n; ++i) {
+        auto total = static_cast<uint64_t>(e.stream(i).totalBytes);
+        uint64_t off = rng.below(total + 1);
+        q.u64(e.nextStepToward(i, off));
+        q.u64(e.hasArrived(i, off));
+    }
+}
+
+/**
  * One seeded engine session: random streams, planned and unplanned,
  * driven through interleaved scheduleStart, demandStart, reschedule,
  * setWatch, setExternalRate, advanceTo, waitFor, runWatches and the
  * pure queries, then finishAll. Folds the full event stream, every
- * query answer, every Stream field and every watch crossing.
+ * query answer, every Stream field and every watch crossing. With
+ * `queries` set, also folds the pure queries (foldQueries) into it
+ * after every public call; their offsets come from a separate
+ * generator, so the session itself runs exactly as without.
  */
 void
-digestSession(Fnv1a &h, int limit, SweepLink link, uint64_t seed)
+digestSession(Fnv1a &h, int limit, SweepLink link, uint64_t seed,
+              Fnv1a *queries = nullptr)
 {
     Rng rng(seed * 0x2545f4914f6cdd1dULL + static_cast<uint64_t>(limit));
+    Rng qrng(seed ^ 0x51afd7ed558ccd1dULL);
     DigestSink sink(h);
     TransferEngine e(kCpb, limit, sweepPlan(link, seed));
     e.setSink(&sink);
+    int added = 0;
+    auto probe = [&] {
+        if (queries)
+            foldQueries(*queries, e, qrng, added);
+    };
     const int n = 4 + static_cast<int>(rng.below(10));
     for (int i = 0; i < n; ++i) {
         int s = e.addStream(cat("s", i), 1 + rng.below(4'000));
-        if (rng.below(4) != 0)
+        ++added;
+        probe();
+        if (rng.below(4) != 0) {
             e.scheduleStart(s, rng.below(300'000));
+            probe();
+        }
     }
     auto pick = [&] { return static_cast<int>(rng.below(
                           static_cast<uint64_t>(n))); };
@@ -526,14 +558,20 @@ digestSession(Fnv1a &h, int limit, SweepLink link, uint64_t seed)
         }
         h.u64(e.time());
         h.u64(e.activeCount());
+        probe();
     }
     for (int i = 0; i < n; ++i) {
-        if (!startable(i))
+        if (!startable(i)) {
             e.demandStart(i, e.time());
+            probe();
+        }
     }
-    if (e.externalRate() == 0.0)
+    if (e.externalRate() == 0.0) {
         e.setExternalRate(1.0);
+        probe();
+    }
     h.u64(e.finishAll());
+    probe();
     h.u64(e.allDone());
     h.u64(e.retryCount());
     h.u64(e.degradedCycles());
@@ -548,6 +586,37 @@ digestSession(Fnv1a &h, int limit, SweepLink link, uint64_t seed)
         h.u64(st.finishedAt);
         h.u64(e.watchedArrival(i));
     }
+}
+
+/**
+ * Drives `e` (its first `n` streams planned) the way the server loop
+ * does: advance to the next engine event, or to a drawn instant, then
+ * set a new external rate, folding the queries after each call; then
+ * a waitFor on every stream's last byte and finishAll.
+ */
+void
+retimeSession(Fnv1a &q, TransferEngine &e, int n, Rng &rng)
+{
+    const double rates[] = {1.0, 0.5, 0.25, 2.0, 0.0};
+    for (int k = 0; k < 200 && !e.allDone(); ++k) {
+        uint64_t next = e.nextEventTime();
+        e.advanceTo(next == UINT64_MAX || rng.below(3) == 0
+                        ? e.time() + rng.below(20'000)
+                        : next);
+        foldQueries(q, e, rng, n);
+        e.setExternalRate(rates[rng.below(5)]);
+        foldQueries(q, e, rng, n);
+    }
+    e.setExternalRate(1.0);
+    for (int i = 0; i < n; ++i) {
+        auto total = static_cast<uint64_t>(e.stream(i).totalBytes);
+        q.u64(e.waitFor(i, total, e.time()));
+        foldQueries(q, e, rng, n);
+    }
+    q.u64(e.finishAll());
+    foldQueries(q, e, rng, n);
+    q.u64(e.retryCount());
+    q.u64(e.degradedCycles());
 }
 
 /** What one run of a stream set shows: every watch crossing, start
@@ -721,6 +790,58 @@ TEST(Engine, SeededBehaviourDigestIsPinned)
         }
     }
     EXPECT_EQ(h.h, 0xf6fe008db37480d2ull);
+}
+
+TEST(Engine, QueriesAfterEveryCallArePinned)
+{
+    // Pins nextEventTime, nextStepToward, hasArrived and the clock
+    // after every public call, not only where a session asks. Three
+    // drivers: the behaviour digest's sessions; a server-style loop
+    // (advanceTo, setExternalRate, query) over the same sweep; and
+    // hand-placed drops that resume in the pass that dropped them,
+    // sit on adjacent offsets, or sit one byte before the end.
+    Fnv1a q;
+    for (int limit : {1, 2, 4, -1}) {
+        for (SweepLink link : {SweepLink::Nominal, SweepLink::Bursts,
+                               SweepLink::Drops, SweepLink::Outages}) {
+            for (uint64_t seed = 1; seed <= 16; ++seed) {
+                Fnv1a events;
+                digestSession(events, limit, link, seed, &q);
+
+                Rng rng(seed * 0x9e3779b97f4a7c15ULL +
+                        static_cast<uint64_t>(limit));
+                TransferEngine e(kCpb, limit, sweepPlan(link, seed));
+                const int n = 2 + static_cast<int>(rng.below(8));
+                for (int i = 0; i < n; ++i) {
+                    e.addStream(cat("s", i), 1 + rng.below(3'000));
+                    e.scheduleStart(i, rng.below(200'000));
+                }
+                retimeSession(q, e, n, rng);
+            }
+        }
+    }
+    for (int limit : {1, 2, -1}) {
+        for (uint64_t timeout : {0, 1, 5'000}) {
+            for (uint64_t seed = 1; seed <= 8; ++seed) {
+                FaultPlan plan;
+                plan.retryTimeoutCycles = timeout;
+                plan.forcedDrops = {{{1, 1}, {2, 1}, {99, 1}},
+                                    {{50, 2}, {51, 1}},
+                                    {{1, 1}},
+                                    {{98, 1}, {99, 3}}};
+                TransferEngine e(kCpb, limit, plan);
+                Rng rng(seed + 100 * timeout +
+                        static_cast<uint64_t>(limit + 1));
+                const uint64_t sizes[] = {100, 100, 2, 100, 37};
+                for (int i = 0; i < 5; ++i) {
+                    e.addStream(cat("f", i), sizes[i]);
+                    e.scheduleStart(i, rng.below(4) * 2'500);
+                }
+                retimeSession(q, e, 5, rng);
+            }
+        }
+    }
+    EXPECT_EQ(q.h, 0x934356cf6d612bddull);
 }
 
 } // namespace
