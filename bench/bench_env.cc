@@ -57,7 +57,7 @@ experiments()
         {"ext_split", runExtSplit},
         {"ext_adaptive", runExtAdaptive},
         {"ext_faults", runExtFaults},
-        {"ext_server", runExtServer, /*wallClock=*/true},
+        {"ext_server", runExtServer},
         {"ext_ordering", runExtOrdering},
         {"ext_vm", runExtVm, /*wallClock=*/true},
         {"ext_runahead", runExtRunahead},

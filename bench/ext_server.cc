@@ -13,12 +13,14 @@
  * deadline, propfair), report per fleet size: the p50/p95/p99 of
  * per-client stall cycles, fleet makespan, Jain's fairness index over
  * per-client slowdown (client total cycles / its own solo total), and
- * the event-loop cost columns. Events and allocator runs are
- * deterministic work counts of the run; wall ms and us/event time the
- * cell on the host that runs it. Nothing checks the timings, and the
- * per-event cost is not flat in N: an allocation can retime every
- * demanding client's engine, so us/event rises with the fleet (most
- * steeply under propfair, whose aging edges re-run the allocator).
+ * the event loop's deterministic work counts (events, allocator runs),
+ * so the printed report is a pure function of the fleet cap. Each
+ * cell's wall ms and us/event, timed on the host that runs it, go
+ * only to BENCH_ext_server.json, one "<allocator> timing" table per
+ * policy. Nothing checks the timings, and the per-event cost is not
+ * flat in N: an allocation can retime every demanding client's
+ * engine, so us/event rises with the fleet (most steeply under
+ * propfair, whose aging edges re-run the allocator).
  * Deadline-aware policies re-rank on every deadline movement by
  * design — their incrementality cannot skip allocator calls — so
  * their grids stop at 256 clients.
@@ -145,8 +147,8 @@ runExtServer(BenchEnv &env, std::ostream &os)
         "Fleets of Parallel/Train/T1/limit-4 clients sharing one uplink\n"
         "(capacity = 2 T1 clients; seeded uniform arrivals) at 2..4096\n"
         "clients; per-client stall percentiles, fleet makespan, Jain\n"
-        "fairness of slowdown, and event-loop cost (events and allocator\n"
-        "runs are work counts; wall ms and us/event are this host's timings)");
+        "fairness of slowdown, and event-loop work (events and allocator\n"
+        "runs; each cell's wall-clock cost is in BENCH_ext_server.json)");
 
     const std::vector<BenchWorkload> &entries = env.workloads();
     const double capacity = 2.0 * linkRate(kT1Link);
@@ -171,8 +173,8 @@ runExtServer(BenchEnv &env, std::ostream &os)
 
         Table t({cat("Fleet (", name, ")"), "p50 stall Mcyc",
                  "p95 stall Mcyc", "p99 stall Mcyc", "Makespan Mcyc",
-                 "Jain slowdown", "Events k", "Alloc runs k",
-                 "Wall ms", "us/event"});
+                 "Jain slowdown", "Events k", "Alloc runs k"});
+        Table timing({cat("Fleet (", name, ")"), "Wall ms", "us/event"});
         for (size_t n : kFleetSizes) {
             if (n > cap)
                 continue;
@@ -191,11 +193,11 @@ runExtServer(BenchEnv &env, std::ostream &os)
                       fmtMillions(cell.makespan, 1),
                       fmtF(cell.fairness, 3),
                       fmtThousands(cell.events),
-                      fmtThousands(cell.allocatorRuns),
-                      fmtF(cell.wallMs, 1),
-                      fmtF(cell.wallMs * 1e3 /
-                               static_cast<double>(cell.events),
-                           2)});
+                      fmtThousands(cell.allocatorRuns)});
+            timing.addRow({cat(n, " clients"), fmtF(cell.wallMs, 1),
+                           fmtF(cell.wallMs * 1e3 /
+                                    static_cast<double>(cell.events),
+                                2)});
         }
         if (alloc->usesDeadlines() && cap == kDeadlineAwareMaxFleet) {
             os << "(" << name
@@ -204,6 +206,7 @@ runExtServer(BenchEnv &env, std::ostream &os)
         }
         os << t.render() << "\n";
         json.addTable(cat(name, " allocator"), t);
+        json.addTable(cat(name, " timing"), timing);
     }
 
     // Admission control on an overloaded fleet: a door limit trades
