@@ -505,6 +505,9 @@ runServer(const std::vector<ClientSpec> &clients,
     std::vector<size_t> actors, retimed, allIdx;
     std::vector<uint8_t> dirty(n, 0);
     std::vector<size_t> dirtyList;
+    // The event (result.events) that last refreshed each client's
+    // candidates: one refresh per touched client per event.
+    std::vector<uint64_t> refreshedAt(n, 0);
     auto markDirty = [&](size_t i) {
         if (!dirty[i]) {
             dirty[i] = 1;
@@ -703,17 +706,19 @@ runServer(const std::vector<ClientSpec> &clients,
         }
 
         // Refresh candidates for every touched client (retimed ones
-        // under their new rate) and re-key them.
+        // under their new rate) and re-key them, once per client. The
+        // heap pops in strict (cycle, client) order, so the order the
+        // keys are set in cannot matter.
         for (size_t i : retimed)
             actors.push_back(i);
-        std::sort(actors.begin(), actors.end());
-        actors.erase(std::unique(actors.begin(), actors.end()),
-                     actors.end());
-        for (size_t i : actors)
+        for (size_t i : actors) {
+            if (refreshedAt[i] == result.events)
+                continue;
+            refreshedAt[i] = result.events;
             computeCandidates(rts[i], opts.edgeCache);
-        if (!linear)
-            for (size_t i : actors)
+            if (!linear)
                 heap.set(i, candidateOf(rts[i]));
+        }
     }
 
     result.clients.reserve(n);

@@ -195,6 +195,9 @@ TransferEngine::markActive(size_t idx, uint64_t now)
     s.state = StreamState::Active;
     s.startedAt = now;
     ++active_;
+    minStop_ = std::min(minStop_, stopBytes(idx) - s.arrivedBytes);
+    passesDue_ = true;
+    settledAt_ = UINT64_MAX;
     inflight_.insert(
         std::lower_bound(inflight_.begin(), inflight_.end(), idx), idx);
     emit(ObsKind::StreamStart, now, static_cast<int>(idx),
@@ -215,6 +218,7 @@ TransferEngine::activateOrQueue(int stream, uint64_t now, bool front)
     if (slotFree()) {
         markActive(static_cast<size_t>(stream), now);
     } else {
+        settledAt_ = UINT64_MAX;
         s.state = StreamState::Queued;
         emit(ObsKind::StreamQueue, now, stream);
         if (front)
@@ -225,15 +229,17 @@ TransferEngine::activateOrQueue(int stream, uint64_t now, bool front)
 }
 
 double
+TransferEngine::dropAt(size_t idx) const
+{
+    return nextDrop_[idx] < drops_[idx].size()
+               ? static_cast<double>(drops_[idx][nextDrop_[idx]].offsetBytes)
+               : std::numeric_limits<double>::infinity();
+}
+
+double
 TransferEngine::stopBytes(size_t idx) const
 {
-    const Stream &s = streams_[idx];
-    if (nextDrop_[idx] < drops_[idx].size()) {
-        return std::min(s.totalBytes,
-                        static_cast<double>(
-                            drops_[idx][nextDrop_[idx]].offsetBytes));
-    }
-    return s.totalBytes;
+    return std::min(streams_[idx].totalBytes, dropAt(idx));
 }
 
 uint64_t
@@ -258,31 +264,33 @@ TransferEngine::nextEvent() const
             }
         }
     }
-    if (active_ > 0 || suspended_ > 0) {
+    if (active_ > 0) {
         double rate = perStreamRate();
+        if (rate > 0.0) {
+            // The next stop of an Active stream: completion, or
+            // pausing at its next drop offset. Exact while the rate
+            // holds; a trace boundary before then fires first and we
+            // re-estimate at the new rate. Every Active stream moves
+            // at `rate`, and the estimate is monotone in the bytes
+            // remaining, so the earliest stop is the estimate at
+            // minStop_. During a full outage (rate 0) no bytes move,
+            // so no stream contributes an event — the trace's next
+            // change point bounds the step instead (ceil(x / 0) would
+            // be UB to cast).
+            uint64_t done_at = completionAt(t, minStop_ / rate);
+            if (done_at != UINT64_MAX)
+                next = std::min(next, std::max(done_at, t + 1));
+        }
+        next = std::min(next, traceNext_);
+    }
+    if (suspended_ > 0) {
         for (size_t i : inflight_) {
-            const Stream &s = streams_[i];
-            if (s.state == StreamState::Active && rate > 0.0) {
-                // The next stop for this stream: completion, or
-                // pausing at its next drop offset. Exact while the
-                // rate holds; a trace boundary before then fires
-                // first and we re-estimate at the new rate. During a
-                // full outage (rate 0) no bytes move, so the stream
-                // contributes no event — the trace's next change
-                // point below bounds the step instead (ceil(x / 0)
-                // would be UB to cast).
-                double remaining = stopBytes(i) - s.arrivedBytes;
-                uint64_t done_at = completionAt(t, remaining / rate);
-                if (done_at != UINT64_MAX)
-                    next = std::min(next, std::max(done_at, t + 1));
-            } else if (s.state == StreamState::Suspended &&
-                       resumeAt_[i] > t) {
+            if (streams_[i].state == StreamState::Suspended &&
+                resumeAt_[i] > t) {
                 next = std::min(next, resumeAt_[i]);
             }
         }
     }
-    if (active_ > 0)
-        next = std::min(next, traceNext_);
     return next;
 }
 
@@ -299,12 +307,20 @@ TransferEngine::progressTo(uint64_t t)
     double delta = static_cast<double>(t - time_) * rate;
     if ((active_ > 0 && traceMult_ * extRate_ < 1.0) || suspended_ > 0)
         degradedCycles_ += t - time_;
+    double minStop = std::numeric_limits<double>::infinity();
+    bool due = false;
     for (size_t i : inflight_) {
         Stream &s = streams_[i];
         if (s.state != StreamState::Active)
             continue;
         double before = s.arrivedBytes;
-        s.arrivedBytes = std::min(stopBytes(i), s.arrivedBytes + delta);
+        double drop = dropAt(i);
+        double stop = std::min(s.totalBytes, drop); // stopBytes(i)
+        s.arrivedBytes = std::min(stop, s.arrivedBytes + delta);
+        minStop = std::min(minStop, stop - s.arrivedBytes);
+        // The completion and drop passes' own tests.
+        due = due || s.arrivedBytes >= s.totalBytes - kEps ||
+              s.arrivedBytes + kEps >= drop;
         if (watchSet_[i] && watchOffset_[i] > 0 &&
             watchCrossed_[i] == UINT64_MAX &&
             s.arrivedBytes + kEps >= watchOffset_[i]) {
@@ -319,6 +335,8 @@ TransferEngine::progressTo(uint64_t t)
                        static_cast<uint64_t>(watchOffset_[i]));
         }
     }
+    minStop_ = minStop;
+    passesDue_ = passesDue_ || due;
     time_ = t;
     // Move the trace cursor to the segment in effect at the new time.
     // Time never moves backwards, so the walk is amortized O(1).
@@ -377,6 +395,7 @@ TransferEngine::planStart(size_t idx, uint64_t cycle)
     if (old == cycle)
         return;
     planned = cycle;
+    settledAt_ = UINT64_MAX;
     pendingStarts_ += cycle != UINT64_MAX;
     pendingStarts_ -= old != UINT64_MAX;
     if (cycle != UINT64_MAX) {
@@ -395,14 +414,26 @@ TransferEngine::planStart(size_t idx, uint64_t cycle)
 }
 
 void
+TransferEngine::refreshMinStop()
+{
+    minStop_ = std::numeric_limits<double>::infinity();
+    for (size_t i : inflight_) {
+        const Stream &s = streams_[i];
+        if (s.state == StreamState::Active)
+            minStop_ = std::min(minStop_, stopBytes(i) - s.arrivedBytes);
+    }
+}
+
+void
 TransferEngine::processEventsAt(uint64_t t)
 {
-    // Each pass below is gated on a counter saying it can fire at
-    // all, and the completion, drop and retry passes walk only the
-    // in-flight list. Pass order (completions, drops, retries, starts,
-    // queue) is load-bearing: completions free slots before starts
-    // claim them.
-    if (active_ > 0) {
+    // Each pass below is gated on a counter or flag saying it can
+    // fire at all, and the completion, drop and retry passes walk
+    // only the in-flight list. Pass order (completions, drops,
+    // retries, starts, queue) is load-bearing: completions free slots
+    // before starts claim them.
+    bool changed = false;
+    if (passesDue_ && active_ > 0) {
         // Completions first: they free slots for queued/scheduled
         // streams.
         size_t kept = 0;
@@ -422,9 +453,10 @@ TransferEngine::processEventsAt(uint64_t t)
                 inflight_[kept++] = i;
             }
         }
+        changed = kept != inflight_.size();
         inflight_.resize(kept);
     }
-    if (active_ > 0 && dropsPending_ > 0) {
+    if (passesDue_ && active_ > 0 && dropsPending_ > 0) {
         // Drops: a stream whose cursor reached its next drop offset
         // loses its connection and retries with exponential backoff;
         // it resumes from the drop offset (bytes already arrived are
@@ -446,11 +478,15 @@ TransferEngine::processEventsAt(uint64_t t)
                 NSE_ASSERT(active_ > 0, "active count underflow");
                 --active_;
                 ++suspended_;
+                changed = true;
                 emit(ObsKind::StreamDrop, t, static_cast<int>(i),
                      d.offsetBytes, resumeAt_[i]);
             }
         }
     }
+    passesDue_ = false;
+    if (changed)
+        refreshMinStop(); // a completion or drop left the Active set
     if (suspended_ > 0) {
         // Retries that succeeded by now resume transferring.
         for (size_t i : inflight_) {
@@ -463,6 +499,10 @@ TransferEngine::processEventsAt(uint64_t t)
                            "suspended count underflow");
                 --suspended_;
                 ++active_;
+                minStop_ = std::min(minStop_,
+                                    stopBytes(i) - s.arrivedBytes);
+                passesDue_ = true;
+                changed = true;
                 emit(ObsKind::StreamResume, t, static_cast<int>(i),
                      static_cast<uint64_t>(s.arrivedBytes));
             }
@@ -484,6 +524,7 @@ TransferEngine::processEventsAt(uint64_t t)
         live = std::unique(due, live, [](auto &a, auto &b) {
             return a.second == b.second;
         });
+        changed = changed || due != live;
         for (auto it = due; it != live; ++it) {
             --pendingStarts_;
             activateOrQueue(static_cast<int>(it->second), t,
@@ -500,7 +541,18 @@ TransferEngine::processEventsAt(uint64_t t)
                        StreamState::Queued,
                    "queue corruption");
         markActive(static_cast<size_t>(idx), t);
+        changed = true;
     }
+    // A call that changed nothing left the state as it found it, so a
+    // repeat at the same time would change nothing either.
+    settledAt_ = changed ? UINT64_MAX : t;
+}
+
+void
+TransferEngine::settle()
+{
+    if (settledAt_ != time_)
+        processEventsAt(time_);
 }
 
 TransferEngine::Progress
@@ -537,7 +589,7 @@ void
 TransferEngine::advanceTo(uint64_t cycle)
 {
     NSE_CHECK(cycle >= time_, "advanceTo into the past");
-    processEventsAt(time_);
+    settle();
     while (time_ < cycle)
         step(std::min(nextEvent(), cycle), "advanceTo");
 }
@@ -548,7 +600,7 @@ TransferEngine::integrateTo(uint64_t cycle)
     NSE_CHECK(cycle >= time_, "integrateTo into the past");
     if (cycle == time_)
         return;
-    processEventsAt(time_);
+    settle();
     for (uint64_t ev = nextEvent(); ev < cycle; ev = nextEvent())
         step(ev, "integrateTo");
     // The last segment ends at `cycle`, as the step to an event there
@@ -586,6 +638,7 @@ TransferEngine::demandStart(int stream, uint64_t now)
         NSE_ASSERT(it != queue_.end(), "queued stream missing from queue");
         queue_.erase(it);
         queue_.push_front(stream);
+        settledAt_ = UINT64_MAX;
         return true;
       }
       case StreamState::Idle:
@@ -665,7 +718,7 @@ TransferEngine::setWatch(int stream, uint64_t offset)
 void
 TransferEngine::runWatches()
 {
-    processEventsAt(time_);
+    settle();
     while (watchesPending_ > 0) {
         uint64_t ev = nextEvent();
         if (ev == UINT64_MAX)
@@ -685,7 +738,7 @@ TransferEngine::watchedArrival(int stream) const
 uint64_t
 TransferEngine::finishAll()
 {
-    processEventsAt(time_);
+    settle();
     while (!allDone()) {
         uint64_t ev = nextEvent();
         if (ev == UINT64_MAX)

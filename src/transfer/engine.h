@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -178,7 +179,10 @@ class TransferEngine
      * estimate, a retry resume, or a bandwidth-trace change point.
      * UINT64_MAX = none. Pure query; the external event loop of the
      * server simulation uses it to bound global steps so allocation
-     * changes never land inside an integration segment.
+     * changes never land inside an integration segment. Costs one
+     * division plus a walk of the in-flight list only while a stream
+     * is suspended: the earliest completion or drop stop is read off
+     * the smallest remaining byte count, which the mutators keep.
      */
     uint64_t nextEventTime() const { return nextEvent(); }
 
@@ -239,6 +243,11 @@ class TransferEngine
     uint64_t nextEvent() const;
     void progressTo(uint64_t t);
     void processEventsAt(uint64_t t);
+    /** processEventsAt(time_), unless the last call already ran at
+     *  time_, changed nothing, and nothing has been mutated since. */
+    void settle();
+    /** Recompute minStop_ over the Active streams. */
+    void refreshMinStop();
     /**
      * One integration step of a stepping loop: progressTo(t), then
      * processEventsAt(t). Counts it in steps_, and panics with a state
@@ -262,6 +271,8 @@ class TransferEngine
     void markActive(size_t idx, uint64_t now);
     /** Record the stream's watch as crossed at `cycle`. */
     void crossWatch(size_t idx, uint64_t cycle, uint64_t offset);
+    /** A stream's next pending drop offset; +inf with none left. */
+    double dropAt(size_t idx) const;
     /** Byte cursor cap for a stream: its end, or its next pending
      *  drop offset (transfer pauses there until the retry succeeds). */
     double stopBytes(size_t idx) const;
@@ -307,10 +318,47 @@ class TransferEngine
      * only the due entries, sorts their streams by index and
      * activates those — O(due log n) instead of a scan of every
      * stream — and `nextStart_` is the first live entry's cycle.
+     *
+     * The members after the start index (`minStop_`, `passesDue_`,
+     * `settledAt_`) make an engine step touch its in-flight streams
+     * once: the progress walk leaves behind the earliest stop and
+     * whether a completion or drop is due, and a call that would
+     * repeat a settled instant is skipped. None of them changes a
+     * floating-point operation or its order.
      */
     size_t pendingStarts_ = 0;
     uint64_t nextStart_ = UINT64_MAX;
     std::vector<std::pair<uint64_t, size_t>> startIndex_;
+    /**
+     * Every Active stream moves at perStreamRate(), and a stream's
+     * stop estimate t + ceil(remaining / rate) is monotone in its
+     * remaining bytes, so nextEvent's completion-or-drop term is the
+     * estimate at the smallest stopBytes(i) - arrivedBytes over the
+     * Active streams. `minStop_` is that exact double (+inf with none
+     * Active): progressTo recomputes it in its per-stream walk,
+     * markActive and a retry resume fold the new stream in, and a
+     * completion or drop, which removes a stream, re-walks the list.
+     * A rate change leaves it valid.
+     */
+    double minStop_ = std::numeric_limits<double>::infinity();
+    /**
+     * Gate of the completion and drop passes: set when some Active
+     * stream may meet either pass's test (progressTo checks both with
+     * the passes' own comparisons; markActive and a resume set it
+     * unconditionally), cleared once both passes have run. After both
+     * passes no Active stream meets either test, and nothing else
+     * moves arrivedBytes, nextDrop_ or a state, so a pass skipped
+     * while it is clear would have done nothing.
+     */
+    bool passesDue_ = false;
+    /**
+     * The clock of the last processEventsAt call if it changed
+     * nothing and no start was planned, no stream activated or queued
+     * and no queue reordered since; UINT64_MAX otherwise. Such a call
+     * is a fixpoint, so settle() skips calling it again at the same
+     * time.
+     */
+    uint64_t settledAt_ = UINT64_MAX;
     uint64_t dropsPending_ = 0;
     size_t done_ = 0;
     /** Set watches not yet crossed. */
