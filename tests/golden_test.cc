@@ -3,11 +3,12 @@
  * Golden-output regression tests. Every experiment of the bench
  * registry whose report is deterministic (all but the wall-clock
  * ext_vm; ext_server keeps its timings in its JSON) must print
- * byte-identical text to its committed fixture tests/golden/<name>.txt,
- * run in-process with the fleet experiments capped at 64 clients. Any change to the VM's
- * cycle accounting, the restructurer, the transfer engine, the greedy
- * scheduler, the replay executor, the server loop, the edge cache, or
- * the table renderer shows up here as a diff — deliberate changes
+ * byte-identical text to its committed fixture
+ * tests/golden/<name>.txt, run in-process with the fleet experiments
+ * capped at 64 clients. Any change to the VM's cycle accounting, the
+ * restructurer, the transfer engine, the greedy scheduler, the replay
+ * executor, the server loop, the edge cache, or the table renderer
+ * shows up here as a diff — deliberate changes
  * regenerate the fixtures (NSE_REGEN_GOLDEN=1, see below). The
  * nse-audit-v1 JSON document is pinned the same way.
  */
